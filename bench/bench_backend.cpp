@@ -142,7 +142,10 @@ std::uint64_t fnv1a64(const Tensor& t) {
 /// element a dependent acc = acc*m + c chain whose latency is hidden by
 /// the 64-way parallelism. 2 flops per element per iteration, no memory
 /// traffic — the compute ceiling of this compiler+flags+CPU combination.
-double measured_peak_gflops(int reps) {
+/// Separate multiply and add (no FMA), the op mix of the deterministic
+/// GEMM kernels; always inlined so each caller vectorizes it for its own
+/// target ISA.
+__attribute__((always_inline)) inline double peak_probe(int reps) {
   constexpr std::size_t kAcc = 64;
   constexpr std::size_t kIters = 1 << 18;
   float acc[kAcc];
@@ -167,6 +170,22 @@ double measured_peak_gflops(int reps) {
   if (sink == 12345.678f) std::cout << "";
   return 2.0 * static_cast<double>(kAcc) * static_cast<double>(kIters) /
          (best * 1e9);
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+__attribute__((target("avx2"))) double peak_probe_avx2(int reps) {
+  return peak_probe(reps);
+}
+#endif
+
+/// The probe at the widest vector width the GEMM kernels dispatch to
+/// (gemm::dispatched_isa): the roofline denominator of frac_peak.
+double measured_peak_gflops(int reps) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (refit::gemm::detail::host_isa() != refit::gemm::detail::Isa::kBaseline)
+    return peak_probe_avx2(reps);
+#endif
+  return peak_probe(reps);
 }
 
 // ---- Naive GEMM baselines (serial copies of the pre-blocking kernels) -----
@@ -293,7 +312,8 @@ int main(int argc, char** argv) {
   }
 
   const double peak_gflops = measured_peak_gflops(reps);
-  std::cout << "measured_peak_gflops=" << peak_gflops << "\n";
+  std::cout << "gemm_isa=" << refit::gemm::dispatched_isa()
+            << " measured_peak_gflops=" << peak_gflops << "\n";
 
   // ---- GEMM + conv kernels ------------------------------------------------
   Rng rng(1);
@@ -520,6 +540,7 @@ int main(int argc, char** argv) {
   os << "    \"hardware_threads\": " << hw_threads << ",\n";
   os << "    \"cpu_model\": \"" << json_escape(cpu_model()) << "\",\n";
   os << "    \"compiler\": \"" << json_escape(__VERSION__) << "\",\n";
+  os << "    \"gemm_isa\": \"" << refit::gemm::dispatched_isa() << "\",\n";
 #ifdef REFIT_BENCH_CXX_FLAGS
   os << "    \"cxx_flags\": \"" << json_escape(REFIT_BENCH_CXX_FLAGS)
      << "\",\n";

@@ -10,6 +10,8 @@
 #               soft-fault result rows must be byte-identical at
 #               REFIT_THREADS=1 and REFIT_THREADS=4
 #   bench-smoke figure-reproduction benches end to end under REFIT_FAST=1
+#   perfbench   end-to-end benchmark smoke: every perfbench workload for one
+#               second; each result line must report "correct": true
 #   obs-smoke   quickstart with --trace-out/--metrics-out; both outputs must
 #               be valid JSON with the expected top-level shape
 #   obs-report  timeseries/event JSONL byte-identical at REFIT_THREADS=1 vs 4
@@ -176,6 +178,26 @@ else
 fi
 rm -f "$bench_json"
 record bench-smoke $bench_rc
+
+banner "perfbench: end-to-end workloads against perfbench/golden.json"
+# One short run per workload (perfbench/README.md): run.py builds into
+# .bench_build/, checks the simulated outputs against the recorded golden
+# values, one-thread vs pooled agreement and repetition determinism, and
+# prints one JSON result line last.
+perf_rc=0
+for w in mlp-wear cnn-fc chip-scan serve-drift; do
+  line=$(python3 perfbench/run.py --workload "$w" --seed 0 --seconds 1 \
+           --trace 0 2> /dev/null | tail -n 1)
+  if python3 -c "import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get('correct') is True else 1)" "$line" 2> /dev/null; then
+    echo "  $w OK"
+  else
+    echo "  $w FAILED: ${line:-no result line}"
+    perf_rc=1
+  fi
+done
+record perfbench $perf_rc
 
 banner "obs-smoke: trace + metrics capture through quickstart"
 obs_rc=1

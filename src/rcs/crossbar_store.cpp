@@ -90,6 +90,7 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
   map_ = LogicalMapping(r, c);
   tile_dirty_.assign(tiles_.size(), 1);
   pack_dirty_.assign(tiles_.size(), 1);
+  pack_nonfinite_.assign(tiles_.size(), 0);
   any_pack_dirty_ = true;
 
   // Program the initial weights onto the chip, one pool lane per tile.
@@ -285,12 +286,13 @@ void CrossbarWeightStore::rebuild_effective() {
   any_dirty_ = false;
 }
 
-void CrossbarWeightStore::pack_tile(const TileSpan& span) {
+bool CrossbarWeightStore::pack_tile(const TileSpan& span) {
   const Crossbar& xb = *tiles_[span.index];
   const Crossbar* xn =
       tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
   const std::size_t k = rows();
   double g[kMaxEncodingLegs] = {0.0, 0.0};
+  bool finite = true;
   for (std::size_t lr = 0; lr < span.rows; ++lr) {
     const std::size_t i = map_.logical_row(span.row0 + lr);
     for (std::size_t lc = 0; lc < span.cols; ++lc) {
@@ -300,10 +302,12 @@ void CrossbarWeightStore::pack_tile(const TileSpan& span) {
       // and materialize-then-matmul feed the micro-kernel identical bits.
       g[0] = xb.effective_conductance(lr, lc);
       if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
-      packed_eff_[gemm::packed_index(k, i, j)] =
-          enc_->decode(g, target_.at(i, j), weight_max_);
+      const float w = enc_->decode(g, target_.at(i, j), weight_max_);
+      packed_eff_[gemm::packed_index(k, i, j)] = w;
+      finite &= std::isfinite(w);
     }
   }
+  return finite;
 }
 
 void CrossbarWeightStore::refresh_packed_effective() {
@@ -329,9 +333,11 @@ void CrossbarWeightStore::refresh_packed_effective() {
   // busy_ns counters carry the per-lane breakdown instead).
   obs::TraceSpan span("fused_forward.pack", "rcs");
   grid_.for_each_tile(dirty, [&](const TileSpan& s) {
-    pack_tile(s);
+    pack_nonfinite_[s.index] = pack_tile(s) ? 0 : 1;
     pack_dirty_[s.index] = 0;
   });
+  packed_finite_ = std::find(pack_nonfinite_.begin(), pack_nonfinite_.end(),
+                             1) == pack_nonfinite_.end();
   any_pack_dirty_ = false;
 }
 
@@ -349,9 +355,10 @@ Tensor CrossbarWeightStore::forward_matmul(const Tensor& x) {
   obs::TraceSpan span("fused_forward", "rcs");
   Tensor y({m, n});
   // Same zero-skip contract as matmul(): the comparison path the tests pin
-  // this against, matmul(x, effective()), skips zero activations too.
+  // this against, matmul(x, effective()), skips zero activations too, and
+  // the panel's finiteness picks the same kernel pack_b's result would.
   gemm::run(m, k, n, x.data(), k, packed_eff_.data(), y.data(), n,
-            /*zero_skip=*/true);
+            /*zero_skip=*/true, packed_finite_);
   return y;
 }
 
@@ -578,6 +585,7 @@ void CrossbarWeightStore::read_from(std::istream& is) {
   effective_ = Tensor();
   packed_eff_.clear();
   pack_dirty_.assign(tiles_.size(), 1);
+  pack_nonfinite_.assign(tiles_.size(), 0);
   any_pack_dirty_ = true;
   resync_counters();
 }

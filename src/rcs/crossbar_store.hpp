@@ -228,8 +228,9 @@ class CrossbarWeightStore final : public WeightStore {
   /// tile covering `span`.
   void rebuild_tile(const TileSpan& span);
   /// Re-read the tile covering `span` into the packed GEMM panels (the
-  /// fused-forward analogue of rebuild_tile).
-  void pack_tile(const TileSpan& span);
+  /// fused-forward analogue of rebuild_tile). Returns whether every value
+  /// it packed is finite.
+  bool pack_tile(const TileSpan& span);
   /// Bring packed_eff_ up to date, repacking only dirty tiles.
   void refresh_packed_effective();
   void mark_all_dirty();
@@ -264,6 +265,10 @@ class CrossbarWeightStore final : public WeightStore {
   std::vector<float> packed_eff_;
   std::vector<std::uint8_t> pack_dirty_;
   bool any_pack_dirty_ = true;
+  /// Per tile: its last pack held Inf/NaN. packed_finite_ folds them into
+  /// gemm::run's bp_finite (finite panels skip zeros without a branch).
+  std::vector<std::uint8_t> pack_nonfinite_;
+  bool packed_finite_ = true;
   /// Running aggregates over all tiles (see fault_count() docs).
   std::uint64_t writes_agg_ = 0;
   std::size_t faults_agg_ = 0;

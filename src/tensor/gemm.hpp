@@ -5,18 +5,26 @@
 // Layout: the right-hand matrix is packed into column strips of kNR
 // contiguous floats per k-step — strip s holds columns [s·kNR, (s+1)·kNR)
 // as a k×kNR panel at bp + s·k·kNR, tail lanes zero-padded. The micro-
-// kernel then streams one L1-resident strip against kMR rows of A,
-// accumulating a kMR×kNR register block down the full k extent.
+// kernel then streams one L1-resident strip against a block of A rows,
+// accumulating a rows×kNR register block down the full k extent.
+//
+// ISA dispatch: the micro-kernels come in a baseline build (explicit SSE2
+// on x86-64, portable scalar elsewhere, 4-row blocks) and an AVX2 build
+// (one 8-lane register per C row, 8-row blocks) compiled for that ISA in
+// gemm.cpp alone; run() picks the widest tier the CPU supports once at
+// start-up, so one binary serves any x86-64 host. kFast additionally uses
+// an FMA kernel when the CPU has FMA.
 //
 // Determinism: each output element is an independent dot product whose
 // additions run in k-ascending order from a zero accumulator — exactly the
 // sequence the pre-blocking naive kernels performed — so deterministic-mode
-// results are bit-identical to them (and across thread counts; lanes write
-// disjoint C rows). ReductionMode::kFast (opt-in via
-// refit::set_reduction_mode or REFIT_FAST_REDUCE=1) permits reassociation:
-// the micro-kernel splits k across two interleaved partial accumulators,
-// which changes the rounding sequence but stays within ~1e-4 relative
-// error on normalized data.
+// results are bit-identical to them on every ISA tier (separate multiply
+// and add, never FMA) and across thread counts (lanes write disjoint C
+// rows). ReductionMode::kFast (opt-in via refit::set_reduction_mode or
+// REFIT_FAST_REDUCE=1) permits reassociation: the micro-kernel splits k
+// across two interleaved partial accumulators (fused multiply-adds on FMA
+// hosts), which changes the rounding sequence but stays within ~1e-4
+// relative error on normalized data.
 #pragma once
 
 #include <cstddef>
@@ -37,10 +45,9 @@ void set_reduction_mode(ReductionMode mode);
 
 namespace gemm {
 
-/// Micro-kernel register block: kMR C rows × kNR C columns held in
-/// registers across the whole k extent (kNR = two 4-wide SSE vectors, one
-/// AVX vector — auto-vectorized FMA under the build's optimization flags).
-inline constexpr std::size_t kMR = 4;
+/// Strip width: kNR C columns per register row — two 4-wide SSE2 vectors
+/// or one 8-wide AVX2 vector. The row height of the register block is
+/// per ISA (4 rows baseline, 8 rows AVX2) and private to gemm.cpp.
 inline constexpr std::size_t kNR = 8;
 
 /// Number of kNR-wide column strips covering n columns.
@@ -61,12 +68,14 @@ inline constexpr std::size_t kNR = 8;
   return ((j / kNR) * k + kk) * kNR + (j % kNR);
 }
 
-/// Pack row-major B[k,n] into strips (tail lanes zeroed).
-void pack_b(const float* b, std::size_t k, std::size_t n, float* bp);
+/// Pack row-major B[k,n] into strips (tail lanes zeroed). Returns whether
+/// every packed element is finite — run()'s `bp_finite` argument.
+bool pack_b(const float* b, std::size_t k, std::size_t n, float* bp);
 
 /// Pack row-major Bᵀ[n,k] into strips of the implied B[k,n] — the
-/// matmul_nt right-hand side (tail lanes zeroed).
-void pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp);
+/// matmul_nt right-hand side (tail lanes zeroed). Returns whether every
+/// packed element is finite.
+bool pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp);
 
 /// Transpose-pack column-walked A[k,m] into row-major At[m,k] — removes
 /// matmul_tn's stride-m column walk from the inner loop.
@@ -74,15 +83,50 @@ void pack_at(const float* a, std::size_t k, std::size_t m, float* at);
 
 /// C[m,n] (row-major, ldc) = A[m,k] (row-major, lda) · packed B. Fans C
 /// rows across the pool with grain control; honors reduction_mode().
-/// `zero_skip` replicates the naive kernels' `if (a == 0) continue` (the
-/// post-ReLU sparsity shortcut) in deterministic mode; kFast ignores it.
+/// `zero_skip` gives the naive kernels' `if (a == 0) continue` (the
+/// post-ReLU sparsity shortcut) semantics in deterministic mode; kFast
+/// ignores it. When `bp_finite` (every packed element finite) the skip is
+/// a no-op on the bits — a ±0 product added to an accumulator that starts
+/// at +0 never changes it — so the kernel drops the per-row branch; only
+/// panels holding Inf/NaN branch (0·Inf would otherwise inject a NaN).
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
-         bool zero_skip);
+         bool zero_skip, bool bp_finite);
 
 /// Thread-local scratch buffer for packed panels (slot 0: right-hand
 /// panels, slot 1: transposed A panels). Contents are call-local.
 [[nodiscard]] std::vector<float>& scratch(std::size_t slot);
+
+/// Name of the micro-kernel tier run() dispatches to on this host:
+/// "avx2+fma", "avx2", "sse2" or "generic" (bench provenance).
+[[nodiscard]] const char* dispatched_isa();
+
+namespace detail {
+
+/// Micro-kernel tiers, narrowest first. kBaseline is SSE2 on x86-64 and
+/// portable scalar elsewhere; kAvx2 adds the 8-wide deterministic kernel;
+/// kAvx2Fma also runs kFast on fused multiply-adds.
+enum class Isa : unsigned char { kBaseline, kAvx2, kAvx2Fma };
+
+/// Widest tier this CPU supports (probed once).
+[[nodiscard]] Isa host_isa();
+[[nodiscard]] const char* isa_name(Isa isa);
+
+/// Test seam: while alive, run() dispatches to `isa` instead of
+/// host_isa(), so every tier can be checked on a wide host. `isa` must not
+/// exceed host_isa(). Not thread-safe against concurrent overrides.
+class IsaOverride {
+ public:
+  explicit IsaOverride(Isa isa);
+  ~IsaOverride();
+  IsaOverride(const IsaOverride&) = delete;
+  IsaOverride& operator=(const IsaOverride&) = delete;
+
+ private:
+  Isa prev_;
+};
+
+}  // namespace detail
 
 }  // namespace gemm
 }  // namespace refit

@@ -27,11 +27,12 @@ void count_gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
 
 // All three GEMMs run on the packed-panel core in tensor/gemm.hpp: the
 // right-hand side is packed into kNR-wide column strips once per call, then
-// a kMR×kNR register-blocked micro-kernel streams each strip against blocks
-// of A rows. Lanes own contiguous C row blocks and every element keeps its
-// serial k-ascending accumulation order, so deterministic-mode results are
-// bit-identical to the pre-blocking kernels at any thread count (kFast
-// reassociates — see docs/kernels.md).
+// a register-blocked micro-kernel (row block per ISA tier × kNR) streams
+// each strip against blocks of A rows. Lanes own contiguous C row blocks
+// and every element keeps its serial k-ascending accumulation order, so
+// deterministic-mode results are bit-identical to the pre-blocking kernels
+// at any thread count and ISA tier (kFast reassociates — see
+// docs/kernels.md).
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_rank2(a, "a");
@@ -43,10 +44,11 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   count_gemm_flops(m, k, n);
   std::vector<float>& panels = gemm::scratch(0);
   panels.resize(gemm::packed_size(k, n));
-  gemm::pack_b(b.data(), k, n, panels.data());
-  // The zero skip matters: post-ReLU activations are sparse.
+  const bool finite = gemm::pack_b(b.data(), k, n, panels.data());
+  // Zero-skip semantics (post-ReLU activations are sparse); on a finite
+  // panel the kernel gets them without a branch.
   gemm::run(m, k, n, a.data(), k, panels.data(), c.data(), n,
-            /*zero_skip=*/true);
+            /*zero_skip=*/true, finite);
   return c;
 }
 
@@ -64,9 +66,9 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   gemm::pack_at(a.data(), k, m, arows.data());
   std::vector<float>& panels = gemm::scratch(0);
   panels.resize(gemm::packed_size(k, n));
-  gemm::pack_b(b.data(), k, n, panels.data());
+  const bool finite = gemm::pack_b(b.data(), k, n, panels.data());
   gemm::run(m, k, n, arows.data(), k, panels.data(), c.data(), n,
-            /*zero_skip=*/true);
+            /*zero_skip=*/true, finite);
   return c;
 }
 
@@ -79,10 +81,10 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   count_gemm_flops(m, k, n);
   std::vector<float>& panels = gemm::scratch(0);
   panels.resize(gemm::packed_size(k, n));
-  gemm::pack_bt(b.data(), n, k, panels.data());
+  const bool finite = gemm::pack_bt(b.data(), n, k, panels.data());
   // The pre-blocking nt kernel had no zero skip; keep its exact FP path.
   gemm::run(m, k, n, a.data(), k, panels.data(), c.data(), n,
-            /*zero_skip=*/false);
+            /*zero_skip=*/false, finite);
   return c;
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -313,6 +314,47 @@ TEST(CrossbarStore, FusedForwardSurvivesCheckpointRestore) {
   EXPECT_TRUE(same_bits(restored.forward_matmul(x),
                         matmul(x, restored.effective())));
   EXPECT_TRUE(same_bits(restored.forward_matmul(x), store.forward_matmul(x)));
+}
+
+TEST(CrossbarStore, FusedForwardBitExactOnNonFiniteWeights) {
+  // A NaN target programs a NaN conductance, so the packed panel holds
+  // non-finite weights: the fused kernel must fall back to the exact zero
+  // skip (0·NaN would poison the output) on every ISA tier, and return to
+  // the branch-free path once the tile is finite again.
+  ReductionModeGuard mode_guard;
+  PoolGuard pool_guard;
+  set_reduction_mode(ReductionMode::kDeterministic);
+  const Tensor init = ramp(40, 24, 0.03f);
+  CrossbarWeightStore store(clean_config(), init, Rng(28));
+  Tensor poisoned = init;
+  poisoned.at(3, 5) = std::numeric_limits<float>::quiet_NaN();
+  poisoned.at(33, 20) = std::numeric_limits<float>::quiet_NaN();
+  store.assign(poisoned);
+  ASSERT_TRUE(std::isnan(store.effective().at(3, 5)));
+
+  Rng rng(29);
+  Tensor x = Tensor::randn({9, 40}, rng);
+  for (std::size_t r = 0; r < 4; ++r) x.at(r, 3) = r % 2 == 0 ? 0.0f : -0.0f;
+  using gemm::detail::Isa;
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx2Fma}) {
+    if (isa > gemm::detail::host_isa()) continue;
+    const gemm::detail::IsaOverride tier(isa);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool::set_global_threads(threads);
+      const Tensor fused = store.forward_matmul(x);
+      EXPECT_TRUE(same_bits(fused, matmul(x, store.effective())))
+          << gemm::detail::isa_name(isa) << " @" << threads;
+      EXPECT_TRUE(std::isfinite(fused.at(0, 5)));  // skipped: x(0, 3) == +0
+      EXPECT_TRUE(std::isfinite(fused.at(1, 5)));  // skipped: x(1, 3) == −0
+      EXPECT_TRUE(std::isnan(fused.at(5, 5)));
+    }
+  }
+
+  store.assign(init);
+  const Tensor healed = store.forward_matmul(x);
+  EXPECT_TRUE(same_bits(healed, matmul(x, store.effective())));
+  for (std::size_t i = 0; i < healed.numel(); ++i)
+    ASSERT_TRUE(std::isfinite(healed[i])) << "element " << i;
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -288,8 +291,8 @@ Tensor sparse_randn(Shape shape, Rng& rng) {
   return t;
 }
 
-// Odd shapes: non-multiples of the kMR/kNR register block and the row
-// block, degenerate m=1 / k=1 / n=1, and exact-multiple controls.
+// Odd shapes: non-multiples of the register blocks (4 or 8 rows × kNR) and
+// the row block, degenerate m=1 / k=1 / n=1, and exact-multiple controls.
 struct GemmShape {
   std::size_t m, k, n;
 };
@@ -298,46 +301,84 @@ const GemmShape kOddShapes[] = {
     {1, 64, 9},   {31, 1, 8},  {33, 17, 31}, {64, 64, 64}, {127, 129, 63},
 };
 
+// Every micro-kernel tier this host can run, forced through the
+// gemm::detail::IsaOverride seam: the baseline (SSE2) tier always, the
+// AVX2 tiers where the CPU has them. Each must reproduce the naive kernels
+// bit for bit on its own.
+
+std::vector<gemm::detail::Isa> host_tiers() {
+  using gemm::detail::Isa;
+  std::vector<Isa> tiers;
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx2Fma})
+    if (isa <= gemm::detail::host_isa()) tiers.push_back(isa);
+  return tiers;
+}
+
+/// kOddShapes plus row tails m = 1…9, which cross both the 4-row baseline
+/// and the 8-row AVX2 register blocks (n = 19: two full strips + a tail).
+std::vector<GemmShape> tier_shapes() {
+  std::vector<GemmShape> shapes(std::begin(kOddShapes), std::end(kOddShapes));
+  for (std::size_t m = 1; m <= 9; ++m) shapes.push_back({m, 13, 19});
+  return shapes;
+}
+
+/// Checks matmul / matmul_tn / matmul_nt against the naive kernels on
+/// every tier at 1 and 4 threads.
+void expect_all_tiers_match_naive(const Tensor& a, const Tensor& b,
+                                  const char* what) {
+  const Tensor at = transpose(a);
+  const Tensor bt = transpose(b);
+  const Tensor ref = naive_matmul(a, b);
+  const Tensor ref_tn = naive_matmul_tn(at, b);
+  const Tensor ref_nt = naive_matmul_nt(a, bt);
+  for (const auto isa : host_tiers()) {
+    const gemm::detail::IsaOverride tier(isa);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool::set_global_threads(threads);
+      const std::string ctx = std::string(what) + " " +
+                              std::to_string(a.dim(0)) + "x" +
+                              std::to_string(a.dim(1)) + "x" +
+                              std::to_string(b.dim(1)) + " " +
+                              gemm::detail::isa_name(isa) + " @" +
+                              std::to_string(threads);
+      EXPECT_TRUE(same_bits(matmul(a, b), ref)) << ctx;
+      EXPECT_TRUE(same_bits(matmul_tn(at, b), ref_tn)) << "tn " << ctx;
+      EXPECT_TRUE(same_bits(matmul_nt(a, bt), ref_nt)) << "nt " << ctx;
+    }
+  }
+}
+
 TEST(GemmBlocked, DeterministicBitIdenticalToNaiveAcrossShapes) {
   ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
   set_reduction_mode(ReductionMode::kDeterministic);
   Rng rng(11);
-  for (const auto& sh : kOddShapes) {
+  for (const auto& sh : tier_shapes()) {
     const Tensor a = sparse_randn({sh.m, sh.k}, rng);
     const Tensor b = sparse_randn({sh.k, sh.n}, rng);
-    const Tensor at = transpose(a);   // [k, m] for matmul_tn
-    const Tensor bt = transpose(b);   // [n, k] for matmul_nt
-    const Tensor ref = naive_matmul(a, b);
-    const Tensor ref_tn = naive_matmul_tn(at, b);
-    const Tensor ref_nt = naive_matmul_nt(a, bt);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ThreadPool::set_global_threads(threads);
-      EXPECT_TRUE(same_bits(matmul(a, b), ref))
-          << sh.m << "x" << sh.k << "x" << sh.n << " @" << threads;
-      EXPECT_TRUE(same_bits(matmul_tn(at, b), ref_tn))
-          << "tn " << sh.m << "x" << sh.k << "x" << sh.n << " @" << threads;
-      EXPECT_TRUE(same_bits(matmul_nt(a, bt), ref_nt))
-          << "nt " << sh.m << "x" << sh.k << "x" << sh.n << " @" << threads;
-    }
+    expect_all_tiers_match_naive(a, b, "sparse");
   }
 }
 
 TEST(GemmBlocked, FastModeWithinRelativeTolerance) {
   ReductionModeGuard mode_guard;
   Rng rng(12);
-  for (const auto& sh : kOddShapes) {
-    const Tensor a = Tensor::randn({sh.m, sh.k}, rng);
-    const Tensor b = Tensor::randn({sh.k, sh.n}, rng);
-    set_reduction_mode(ReductionMode::kDeterministic);
-    const Tensor ref = matmul(a, b);
-    set_reduction_mode(ReductionMode::kFast);
-    const Tensor fast = matmul(a, b);
-    ASSERT_EQ(fast.shape(), ref.shape());
-    for (std::size_t i = 0; i < ref.numel(); ++i) {
-      const double tol =
-          1e-4 * std::max(1.0, static_cast<double>(std::fabs(ref[i])));
-      EXPECT_NEAR(fast[i], ref[i], tol) << "element " << i;
+  for (const auto isa : host_tiers()) {
+    const gemm::detail::IsaOverride tier(isa);
+    for (const auto& sh : tier_shapes()) {
+      const Tensor a = Tensor::randn({sh.m, sh.k}, rng);
+      const Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+      set_reduction_mode(ReductionMode::kDeterministic);
+      const Tensor ref = matmul(a, b);
+      set_reduction_mode(ReductionMode::kFast);
+      const Tensor fast = matmul(a, b);
+      ASSERT_EQ(fast.shape(), ref.shape());
+      for (std::size_t i = 0; i < ref.numel(); ++i) {
+        const double tol =
+            1e-4 * std::max(1.0, static_cast<double>(std::fabs(ref[i])));
+        EXPECT_NEAR(fast[i], ref[i], tol)
+            << gemm::detail::isa_name(isa) << " element " << i;
+      }
     }
   }
 }
@@ -361,6 +402,90 @@ TEST(GemmBlocked, PackedIndexMatchesPackB) {
   for (std::size_t kk = 0; kk < k; ++kk)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_EQ(bp[gemm::packed_index(k, kk, j)], b.at(kk, j));
+}
+
+TEST(GemmIsa, SignedZerosAndDenormalsBitIdentical) {
+  // −0 activations are skipped by the naive kernels (−0 == 0); the
+  // branch-free finite-panel path adds their ±0 products instead, which
+  // must leave every accumulator's bits alone. Denormal operands and
+  // products must round identically on every tier.
+  ReductionModeGuard mode_guard;
+  PoolGuard pool_guard;
+  set_reduction_mode(ReductionMode::kDeterministic);
+  const float denorm = std::numeric_limits<float>::denorm_min() * 1000.0f;
+  Rng rng(15);
+  for (const auto& sh : tier_shapes()) {
+    Tensor a = Tensor::randn({sh.m, sh.k}, rng);
+    Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+    for (std::size_t i = 0; i < a.numel(); ++i) {
+      if (i % 3 == 0) a[i] = -0.0f;
+      if (i % 3 == 1 && i % 2 == 0) a[i] = 0.0f;
+      if (i % 7 == 5) a[i] = (i % 2 == 0 ? denorm : -denorm);
+    }
+    for (std::size_t i = 0; i < b.numel(); i += 4) b[i] = -0.0f;
+    for (std::size_t i = 2; i < b.numel(); i += 9) b[i] = denorm * 7.0f;
+    std::vector<float> bp(gemm::packed_size(sh.k, sh.n));
+    EXPECT_TRUE(gemm::pack_b(b.data(), sh.k, sh.n, bp.data()));
+    expect_all_tiers_match_naive(a, b, "signed-zero/denormal");
+  }
+}
+
+TEST(GemmIsa, NonFinitePanelsKeepExactZeroSkip) {
+  // 0·Inf and 0·NaN are NaN: a panel holding them must keep the naive
+  // kernels' exact skip, or zero activations would poison their rows.
+  // One non-finite kind per case, so every NaN in flight has one payload.
+  ReductionModeGuard mode_guard;
+  PoolGuard pool_guard;
+  set_reduction_mode(ReductionMode::kDeterministic);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(16);
+  for (const auto& sh : tier_shapes()) {
+    for (const float bad : {inf, -inf, nan}) {
+      Tensor a = sparse_randn({sh.m, sh.k}, rng);
+      Tensor b = Tensor::randn({sh.k, sh.n}, rng);
+      // Row 0 of A is zero at kk = 0, where B holds the non-finite value:
+      // only the exact skip keeps C(0, 0) finite.
+      a.at(0, 0) = 0.0f;
+      b.at(0, 0) = bad;
+      b.at(sh.k - 1, sh.n - 1) = bad;
+      std::vector<float> bp(gemm::packed_size(sh.k, sh.n));
+      EXPECT_FALSE(gemm::pack_b(b.data(), sh.k, sh.n, bp.data()));
+      EXPECT_FALSE(
+          gemm::pack_bt(transpose(b).data(), sh.n, sh.k, bp.data()));
+      const Tensor ref = naive_matmul(a, b);
+      if (sh.n > 1 || sh.k == 1) {  // else column 0 also holds B(k-1, n-1)
+        EXPECT_TRUE(std::isfinite(ref.at(0, 0)));
+      }
+      expect_all_tiers_match_naive(a, b, "non-finite");
+    }
+  }
+}
+
+TEST(GemmIsa, OverrideRestoresDispatch) {
+  ReductionModeGuard mode_guard;
+  const auto tiers = host_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.back(), gemm::detail::host_isa());
+  EXPECT_STREQ(gemm::dispatched_isa(),
+               gemm::detail::isa_name(gemm::detail::host_isa()));
+  // kFast results are tier-specific (FMA rounds once), so they show which
+  // tier ran: nested overrides must unwind to the host tier.
+  set_reduction_mode(ReductionMode::kFast);
+  Rng rng(18);
+  const Tensor a = Tensor::randn({9, 21}, rng);
+  const Tensor b = Tensor::randn({21, 17}, rng);
+  const Tensor host = matmul(a, b);
+  {
+    const gemm::detail::IsaOverride outer(gemm::detail::Isa::kBaseline);
+    const Tensor base = matmul(a, b);
+    {
+      const gemm::detail::IsaOverride inner(gemm::detail::host_isa());
+      EXPECT_TRUE(same_bits(matmul(a, b), host));
+    }
+    EXPECT_TRUE(same_bits(matmul(a, b), base));
+  }
+  EXPECT_TRUE(same_bits(matmul(a, b), host));
 }
 
 }  // namespace

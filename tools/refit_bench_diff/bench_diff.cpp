@@ -123,11 +123,15 @@ struct Differ {
       const JsonValue* v = doc.find("scaling_valid");
       return v != nullptr && v->is_bool() && !v->boolean;
     };
-    if (str_at(base, "cpu_model") != str_at(cand, "cpu_model") ||
-        str_at(base, "compiler") != str_at(cand, "compiler")) {
-      report.timing_skip_reason =
-          "provenance differs (cpu_model/compiler) — timings not comparable";
-      return;
+    // gemm_isa: the GEMM micro-kernel tier the host dispatched to — the
+    // same CPU model under a different tier is a different kernel.
+    for (const char* key : {"cpu_model", "compiler", "gemm_isa"}) {
+      if (str_at(base, key) != str_at(cand, key)) {
+        report.timing_skip_reason =
+            "provenance differs (cpu_model/compiler/gemm_isa) — timings not "
+            "comparable";
+        return;
+      }
     }
     if (top_scaling_invalid(base) || top_scaling_invalid(cand)) {
       report.timing_skip_reason =

@@ -7,7 +7,7 @@
 // *Timing* fields — seconds, gflops, frac_peak, speedup_vs_* — measure
 // the host, so they gate only within a relative threshold, and only when
 // the comparison is meaningful at all: the two artifacts must carry the
-// same cpu_model + compiler provenance, neither may be stamped
+// same cpu_model + compiler + gemm_isa provenance, neither may be stamped
 // scaling_valid:false at top level (an oversubscribed host produces
 // garbage timings), and rows individually stamped scaling_valid:false
 // are skipped. Everything else would make the ratchet flake.

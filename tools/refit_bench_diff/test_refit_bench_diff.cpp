@@ -110,6 +110,23 @@ TEST(BenchDiff, ProvenanceMismatchSkipsTimingButGatesDeterminism) {
   EXPECT_TRUE(saw_hash_fail);
 }
 
+TEST(BenchDiff, GemmIsaMismatchSkipsTiming) {
+  // Same CPU model and compiler, different dispatched GEMM tier (an AVX2
+  // host vs an SSE2-only run): the timings measure different kernels.
+  std::string sse2 = backend_artifact("0.050");
+  std::string avx2 = backend_artifact("0.025");
+  sse2.replace(sse2.find("\"hardware_threads\""), 0,
+               "\"gemm_isa\": \"sse2\", ");
+  avx2.replace(avx2.find("\"hardware_threads\""), 0,
+               "\"gemm_isa\": \"avx2\", ");
+  const auto report = diff_bench(parse(sse2), parse(avx2));
+  EXPECT_FALSE(report.timing_compared);
+  EXPECT_NE(report.timing_skip_reason.find("gemm_isa"), std::string::npos);
+  EXPECT_TRUE(report.pass);
+  // Matching tiers compare timings as before.
+  EXPECT_TRUE(diff_bench(parse(avx2), parse(avx2)).timing_compared);
+}
+
 TEST(BenchDiff, TopLevelScalingInvalidSkipsAllTiming) {
   const JsonValue base = parse(backend_artifact("0.050"));
   const JsonValue cand =
