@@ -291,9 +291,7 @@ std::unique_ptr<CrossbarWeightStore> make_store(std::size_t n) {
 
 int main(int argc, char** argv) {
   const refit::bench::ObsOptions obs_opts = refit::bench::init_obs(argc, argv);
-  const bool fast = std::getenv("REFIT_FAST") != nullptr &&
-                    std::string(std::getenv("REFIT_FAST")) == "1";
-  const int reps = fast ? 2 : 5;
+  const int reps = refit::bench::fast_mode() ? 2 : 5;
   const std::size_t n = 512;
   std::vector<Row> rows;
   double sink = 0.0;  // defeats dead-code elimination
@@ -326,18 +324,11 @@ int main(int argc, char** argv) {
   geom.kernel = 3;
   geom.pad = 1;
 
-  // Deterministic-mode golden hash (the bench-smoke CI ratchet): computed
-  // with the reduction mode pinned so a REFIT_FAST_REDUCE environment
-  // cannot change it, and stable across hosts and thread counts because
-  // the deterministic kernel is bit-exact and Rng is portable.
-  std::uint64_t gemm_hash = 0;
-  {
-    const refit::ReductionMode prev = refit::reduction_mode();
-    refit::set_reduction_mode(refit::ReductionMode::kDeterministic);
-    ThreadPool::set_global_threads(1);
-    gemm_hash = fnv1a64(refit::matmul(a, b));
-    refit::set_reduction_mode(prev);
-  }
+  // GEMM golden hash (the bench-smoke CI ratchet): stable across hosts,
+  // ISA tiers and thread counts because the kernels are bit-exact and Rng
+  // is portable.
+  ThreadPool::set_global_threads(1);
+  const std::uint64_t gemm_hash = fnv1a64(refit::matmul(a, b));
   std::cout << "gemm_output_hash=" << std::hex << gemm_hash << std::dec
             << "\n";
 
@@ -369,13 +360,9 @@ int main(int argc, char** argv) {
     double naive_serial = 0.0;
     if (kern.naive) {
       const Tensor naive_out = kern.naive();
-      // The naive kernels carry the deterministic contract; only compare
-      // bits when the blocked kernel runs in deterministic mode too.
-      const bool det =
-          refit::reduction_mode() == refit::ReductionMode::kDeterministic;
       naive_serial = time_best(reps, [&] { sink += kern.naive()[0]; });
       rows.push_back({"naive_" + kern.name, 1, naive_serial, 1.0,
-                      !det || same_bits(ref, naive_out),
+                      same_bits(ref, naive_out),
                       kern.flops / (naive_serial * 1e9),
                       kern.flops / (naive_serial * 1e9) / peak_gflops, 0.0});
       std::cout << "naive_" << kern.name << " threads=1 " << naive_serial

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <thread>
 
@@ -16,7 +17,7 @@ namespace refit::bench {
 
 bool fast_mode() {
   const char* v = std::getenv("REFIT_FAST");
-  return v != nullptr && v[0] == '1';
+  return v != nullptr && std::strcmp(v, "1") == 0;
 }
 
 std::size_t scaled(std::size_t n) {

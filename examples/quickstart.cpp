@@ -17,6 +17,7 @@
 //      REFIT_THREADS. REFIT_FAST=1 shortens the run for smoke tests.
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -63,7 +64,8 @@ int main(int argc, char** argv) {
     obs::TimeseriesRecorder::global().set_enabled(true);
   }
   if (!events_out.empty()) obs::EventLog::global().set_enabled(true);
-  const bool fast = std::getenv("REFIT_FAST") != nullptr;
+  const char* fast_env = std::getenv("REFIT_FAST");
+  const bool fast = fast_env != nullptr && std::strcmp(fast_env, "1") == 0;
 
   // A 10-class MNIST-like task, synthesized deterministically.
   SyntheticConfig data_cfg;

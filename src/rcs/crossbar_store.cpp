@@ -599,10 +599,12 @@ std::unique_ptr<CrossbarWeightStore> CrossbarWeightStore::load(
 }
 
 void CrossbarWeightStore::restore(std::istream& is) {
-  const Shape before = target_.shape();
-  read_from(is);
-  REFIT_CHECK_MSG(target_.shape() == before,
+  // Load into a temporary so a corrupt or mismatched checkpoint throws
+  // before any of this store's state is replaced.
+  std::unique_ptr<CrossbarWeightStore> loaded = load(is);
+  REFIT_CHECK_MSG(loaded->shape() == shape(),
                   "restore() checkpoint shape mismatch");
+  *this = std::move(*loaded);
 }
 
 std::uint64_t CrossbarWeightStore::cell_write_count(std::size_t i,

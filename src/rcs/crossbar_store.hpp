@@ -210,14 +210,15 @@ class CrossbarWeightStore final : public WeightStore {
   static std::unique_ptr<CrossbarWeightStore> load(std::istream& is);
   /// In-place variant of load(): overwrite this store's state with a
   /// checkpoint of a same-shaped store (engine resume keeps the network's
-  /// store pointers intact).
+  /// store pointers intact). Throws CheckError on a mismatched or corrupt
+  /// checkpoint, leaving this store unchanged.
   void restore(std::istream& is);
 
  private:
   /// Uninitialized shell used by load().
   CrossbarWeightStore() = default;
 
-  /// Shared body of load()/restore().
+  /// Body of load(): fill this (fresh) store from a checkpoint.
   void read_from(std::istream& is);
   /// Program the physical cell hosting logical (i, j) from target_.
   void write_logical(std::size_t i, std::size_t j);

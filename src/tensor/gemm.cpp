@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -21,35 +20,11 @@
 #define REFIT_GEMM_AVX2 1
 #include <immintrin.h>
 #define REFIT_TARGET_AVX2 __attribute__((target("avx2")))
-#define REFIT_TARGET_AVX2_FMA __attribute__((target("avx2,fma")))
 #else
 #define REFIT_GEMM_AVX2 0
 #endif
 
 namespace refit {
-
-namespace {
-
-std::atomic<ReductionMode>& mode_cell() {
-  static std::atomic<ReductionMode> mode{[] {
-    const char* env = std::getenv("REFIT_FAST_REDUCE");
-    return (env != nullptr && env[0] == '1' && env[1] == '\0')
-               ? ReductionMode::kFast
-               : ReductionMode::kDeterministic;
-  }()};
-  return mode;
-}
-
-}  // namespace
-
-ReductionMode reduction_mode() {
-  return mode_cell().load(std::memory_order_relaxed);
-}
-
-void set_reduction_mode(ReductionMode mode) {
-  mode_cell().store(mode, std::memory_order_relaxed);
-}
-
 namespace gemm {
 
 namespace {
@@ -61,12 +36,12 @@ constexpr std::size_t kMC = 64;
 // Micro-kernel families. Each is a struct with the ISA's register-block
 // height kRows and a `micro<MR>` template computing MR C rows × kNR C
 // columns of one strip, MR ≤ kRows fixed at compile time (full unroll,
-// accumulators in registers). Deterministic families accumulate every C
-// element k-ascending from a +0 register with one IEEE multiply and one
-// IEEE add per kk — the exact rounding sequence of the pre-blocking naive
-// kernels, so all tiers produce the same bits. ZeroSkip = true keeps the
-// naive kernels' `if (a == 0) continue`; run() selects it only for panels
-// holding Inf/NaN (see gemm.hpp).
+// accumulators in registers). Every family accumulates each C element
+// k-ascending from a +0 register with one IEEE multiply and one IEEE add
+// per kk — the exact rounding sequence of the pre-blocking naive kernels,
+// so all tiers produce the same bits. ZeroSkip = true keeps the naive
+// kernels' `if (a == 0) continue`; run() selects it only for panels holding
+// Inf/NaN (see gemm.hpp).
 
 /// Copy an MR×kNR accumulator block to C, clipping to the nvalid columns
 /// of a tail strip.
@@ -143,42 +118,6 @@ struct BaseDet {
 };
 #endif
 
-/// Baseline fast kernel: k split across two interleaved partial
-/// accumulators (reassociation → more latency overlap), no zero skip.
-struct BaseFast {
-  static constexpr std::size_t kRows = 4;
-  template <std::size_t MR>
-  static void micro(std::size_t k, const float* a, std::size_t lda,
-                    const float* bp, float* c, std::size_t ldc,
-                    std::size_t nvalid) {
-    float acc0[MR][kNR] = {};
-    float acc1[MR][kNR] = {};
-    std::size_t kk = 0;
-    for (; kk + 2 <= k; kk += 2) {
-      const float* b0 = bp + kk * kNR;
-      const float* b1 = b0 + kNR;
-      for (std::size_t r = 0; r < MR; ++r) {
-        const float av0 = a[r * lda + kk];
-        const float av1 = a[r * lda + kk + 1];
-        for (std::size_t j = 0; j < kNR; ++j) {
-          acc0[r][j] += av0 * b0[j];
-          acc1[r][j] += av1 * b1[j];
-        }
-      }
-    }
-    if (kk < k) {
-      const float* b0 = bp + kk * kNR;
-      for (std::size_t r = 0; r < MR; ++r) {
-        const float av = a[r * lda + kk];
-        for (std::size_t j = 0; j < kNR; ++j) acc0[r][j] += av * b0[j];
-      }
-    }
-    for (std::size_t r = 0; r < MR; ++r)
-      for (std::size_t j = 0; j < kNR; ++j) acc0[r][j] += acc1[r][j];
-    store_block<MR>(acc0, c, ldc, nvalid);
-  }
-};
-
 #if REFIT_GEMM_AVX2
 /// Store MR 8-lane accumulators to C: straight to memory for full strips,
 /// through a clipped copy for the tail strip.
@@ -222,43 +161,6 @@ struct Avx2Det {
     store_avx2<MR>(acc, c, ldc, nvalid);
   }
 };
-
-/// AVX2+FMA fast kernel: BaseFast's two interleaved k accumulators per C
-/// row, each step one fused multiply-add (one rounding instead of two —
-/// kFast's contract allows it). 4-row blocks: 8 accumulators, 2 B rows.
-struct Avx2FmaFast {
-  static constexpr std::size_t kRows = 4;
-  template <std::size_t MR>
-  REFIT_TARGET_AVX2_FMA static void micro(std::size_t k, const float* a,
-                                          std::size_t lda, const float* bp,
-                                          float* c, std::size_t ldc,
-                                          std::size_t nvalid) {
-    __m256 acc0[MR];
-    __m256 acc1[MR];
-    for (std::size_t r = 0; r < MR; ++r) {
-      acc0[r] = _mm256_setzero_ps();
-      acc1[r] = _mm256_setzero_ps();
-    }
-    std::size_t kk = 0;
-    for (; kk + 2 <= k; kk += 2) {
-      const __m256 b0 = _mm256_loadu_ps(bp + kk * kNR);
-      const __m256 b1 = _mm256_loadu_ps(bp + kk * kNR + kNR);
-      for (std::size_t r = 0; r < MR; ++r) {
-        acc0[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r * lda + kk]), b0, acc0[r]);
-        acc1[r] =
-            _mm256_fmadd_ps(_mm256_set1_ps(a[r * lda + kk + 1]), b1, acc1[r]);
-      }
-    }
-    if (kk < k) {
-      const __m256 b0 = _mm256_loadu_ps(bp + kk * kNR);
-      for (std::size_t r = 0; r < MR; ++r)
-        acc0[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r * lda + kk]), b0, acc0[r]);
-    }
-    for (std::size_t r = 0; r < MR; ++r)
-      acc0[r] = _mm256_add_ps(acc0[r], acc1[r]);
-    store_avx2<MR>(acc0, c, ldc, nvalid);
-  }
-};
 #endif
 
 /// Row tail of a strip pass: `rows` < K::kRows rows through the one
@@ -297,33 +199,25 @@ using StripFn = void (*)(std::size_t rows, std::size_t k, const float* a,
                          std::size_t lda, const float* bp, float* c,
                          std::size_t ldc, std::size_t nvalid);
 
-/// The three strip passes of one ISA tier.
+/// The two strip passes of one ISA tier.
 struct KernelSet {
-  StripFn det_skip;  ///< deterministic, exact zero skip (non-finite panels)
-  StripFn det;       ///< deterministic, branch-free
-  StripFn fast;      ///< ReductionMode::kFast
+  StripFn det_skip;  ///< exact zero skip (non-finite panels)
+  StripFn det;       ///< branch-free
 };
 
 /// Indexed by detail::Isa. Without the AVX2 build every tier runs the
 /// baseline kernels (host_isa() never reports a wider tier there).
 constexpr KernelSet kKernels[] = {
-    {strip_pass<BaseDet<true>>, strip_pass<BaseDet<false>>,
-     strip_pass<BaseFast>},
+    {strip_pass<BaseDet<true>>, strip_pass<BaseDet<false>>},
 #if REFIT_GEMM_AVX2
-    {strip_pass<Avx2Det<true>>, strip_pass<Avx2Det<false>>,
-     strip_pass<BaseFast>},
-    {strip_pass<Avx2Det<true>>, strip_pass<Avx2Det<false>>,
-     strip_pass<Avx2FmaFast>},
+    {strip_pass<Avx2Det<true>>, strip_pass<Avx2Det<false>>},
 #else
-    {strip_pass<BaseDet<true>>, strip_pass<BaseDet<false>>,
-     strip_pass<BaseFast>},
-    {strip_pass<BaseDet<true>>, strip_pass<BaseDet<false>>,
-     strip_pass<BaseFast>},
+    {strip_pass<BaseDet<true>>, strip_pass<BaseDet<false>>},
 #endif
 };
 
 /// The tier run() dispatches to: host_isa() unless a test override is live.
-std::atomic<detail::Isa>& active_isa() {
+std::atomic<detail::Isa>& isa_cell() {
   static std::atomic<detail::Isa> isa{detail::host_isa()};
   return isa;
 }
@@ -398,13 +292,12 @@ void pack_at(const float* a, std::size_t k, std::size_t m, float* at) {
 void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
          std::size_t lda, const float* bp, float* c, std::size_t ldc,
          bool zero_skip, bool bp_finite) {
-  const KernelSet& kernels = kKernels[static_cast<std::size_t>(
-      active_isa().load(std::memory_order_relaxed))];
+  const KernelSet& kernels =
+      kKernels[static_cast<std::size_t>(detail::active_isa())];
   // With a finite panel the skip cannot change a bit (gemm.hpp), so only
   // non-finite panels pay for the per-row branch.
-  const StripFn pass = reduction_mode() == ReductionMode::kFast ? kernels.fast
-                       : zero_skip && !bp_finite             ? kernels.det_skip
-                                                             : kernels.det;
+  const StripFn pass =
+      zero_skip && !bp_finite ? kernels.det_skip : kernels.det;
   const std::size_t nstrips = strip_count(n);
   // Lanes own contiguous C row blocks; within a lane the mid loop holds a
   // kMC-row A slab against every (L1-resident) packed strip.
@@ -435,9 +328,7 @@ Isa host_isa() {
 #if REFIT_GEMM_AVX2
     // Checks OS support for the YMM state as well as the CPUID bits.
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) {
-      return __builtin_cpu_supports("fma") ? Isa::kAvx2Fma : Isa::kAvx2;
-    }
+    if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
 #endif
     return Isa::kBaseline;
   }();
@@ -446,8 +337,6 @@ Isa host_isa() {
 
 const char* isa_name(Isa isa) {
   switch (isa) {
-    case Isa::kAvx2Fma:
-      return "avx2+fma";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kBaseline:
@@ -460,15 +349,16 @@ const char* isa_name(Isa isa) {
 #endif
 }
 
-IsaOverride::IsaOverride(Isa isa)
-    : prev_(active_isa().load(std::memory_order_relaxed)) {
+Isa active_isa() { return isa_cell().load(std::memory_order_relaxed); }
+
+IsaOverride::IsaOverride(Isa isa) : prev_(active_isa()) {
   REFIT_CHECK_MSG(isa <= host_isa(), "IsaOverride: " << isa_name(isa)
                                          << " not supported on this host");
-  active_isa().store(isa, std::memory_order_relaxed);
+  isa_cell().store(isa, std::memory_order_relaxed);
 }
 
 IsaOverride::~IsaOverride() {
-  active_isa().store(prev_, std::memory_order_relaxed);
+  isa_cell().store(prev_, std::memory_order_relaxed);
 }
 
 }  // namespace detail

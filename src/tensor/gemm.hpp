@@ -12,36 +12,21 @@
 // on x86-64, portable scalar elsewhere, 4-row blocks) and an AVX2 build
 // (one 8-lane register per C row, 8-row blocks) compiled for that ISA in
 // gemm.cpp alone; run() picks the widest tier the CPU supports once at
-// start-up, so one binary serves any x86-64 host. kFast additionally uses
-// an FMA kernel when the CPU has FMA.
+// start-up, so one binary serves any x86-64 host.
 //
 // Determinism: each output element is an independent dot product whose
 // additions run in k-ascending order from a zero accumulator — exactly the
-// sequence the pre-blocking naive kernels performed — so deterministic-mode
-// results are bit-identical to them on every ISA tier (separate multiply
-// and add, never FMA) and across thread counts (lanes write disjoint C
-// rows). ReductionMode::kFast (opt-in via refit::set_reduction_mode or
-// REFIT_FAST_REDUCE=1) permits reassociation: the micro-kernel splits k
-// across two interleaved partial accumulators (fused multiply-adds on FMA
-// hosts), which changes the rounding sequence but stays within ~1e-4
-// relative error on normalized data.
+// sequence the pre-blocking naive kernels performed — so results are
+// bit-identical to them on every ISA tier (separate multiply and add,
+// never FMA) and across thread counts (lanes write disjoint C rows). This
+// is the only reduction contract: fault detection, pruning and re-mapping
+// all act on these exact outputs.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace refit {
-
-/// Floating-point reduction contract of the GEMM kernels.
-enum class ReductionMode {
-  kDeterministic,  ///< bit-identical to the serial k-ascending sum (default)
-  kFast            ///< reassociated accumulators (faster, ~1e-4 rel error)
-};
-
-/// Process-wide reduction mode. Initialized from REFIT_FAST_REDUCE=1 on
-/// first query; set_reduction_mode overrides the environment.
-[[nodiscard]] ReductionMode reduction_mode();
-void set_reduction_mode(ReductionMode mode);
 
 namespace gemm {
 
@@ -82,10 +67,9 @@ bool pack_bt(const float* bt, std::size_t n, std::size_t k, float* bp);
 void pack_at(const float* a, std::size_t k, std::size_t m, float* at);
 
 /// C[m,n] (row-major, ldc) = A[m,k] (row-major, lda) · packed B. Fans C
-/// rows across the pool with grain control; honors reduction_mode().
-/// `zero_skip` gives the naive kernels' `if (a == 0) continue` (the
-/// post-ReLU sparsity shortcut) semantics in deterministic mode; kFast
-/// ignores it. When `bp_finite` (every packed element finite) the skip is
+/// rows across the pool with grain control. `zero_skip` gives the naive
+/// kernels' `if (a == 0) continue` (the post-ReLU sparsity shortcut)
+/// semantics. When `bp_finite` (every packed element finite) the skip is
 /// a no-op on the bits — a ±0 product added to an accumulator that starts
 /// at +0 never changes it — so the kernel drops the per-row branch; only
 /// panels holding Inf/NaN branch (0·Inf would otherwise inject a NaN).
@@ -98,19 +82,22 @@ void run(std::size_t m, std::size_t k, std::size_t n, const float* a,
 [[nodiscard]] std::vector<float>& scratch(std::size_t slot);
 
 /// Name of the micro-kernel tier run() dispatches to on this host:
-/// "avx2+fma", "avx2", "sse2" or "generic" (bench provenance).
+/// "avx2", "sse2" or "generic" (bench provenance).
 [[nodiscard]] const char* dispatched_isa();
 
 namespace detail {
 
 /// Micro-kernel tiers, narrowest first. kBaseline is SSE2 on x86-64 and
-/// portable scalar elsewhere; kAvx2 adds the 8-wide deterministic kernel;
-/// kAvx2Fma also runs kFast on fused multiply-adds.
-enum class Isa : unsigned char { kBaseline, kAvx2, kAvx2Fma };
+/// portable scalar elsewhere; kAvx2 is the 8-wide kernel.
+enum class Isa : unsigned char { kBaseline, kAvx2 };
 
 /// Widest tier this CPU supports (probed once).
 [[nodiscard]] Isa host_isa();
 [[nodiscard]] const char* isa_name(Isa isa);
+
+/// Test seam: the tier run() dispatches to right now — host_isa() unless
+/// an IsaOverride is alive.
+[[nodiscard]] Isa active_isa();
 
 /// Test seam: while alive, run() dispatches to `isa` instead of
 /// host_isa(), so every tier can be checked on a wide host. `isa` must not

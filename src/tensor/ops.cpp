@@ -30,9 +30,8 @@ void count_gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
 // a register-blocked micro-kernel (row block per ISA tier × kNR) streams
 // each strip against blocks of A rows. Lanes own contiguous C row blocks
 // and every element keeps its serial k-ascending accumulation order, so
-// deterministic-mode results are bit-identical to the pre-blocking kernels
-// at any thread count and ISA tier (kFast reassociates — see
-// docs/kernels.md).
+// results are bit-identical to the pre-blocking kernels at any thread count
+// and ISA tier (docs/kernels.md).
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_rank2(a, "a");

@@ -223,11 +223,6 @@ TEST(RcsSystem, AggregateWriteStats) {
 
 // ---- Fused faulty forward -------------------------------------------------
 
-struct ReductionModeGuard {
-  ReductionMode prev = reduction_mode();
-  ~ReductionModeGuard() { set_reduction_mode(prev); }
-};
-
 struct PoolGuard {
   ~PoolGuard() { ThreadPool::set_global_threads(1); }
 };
@@ -238,9 +233,7 @@ bool same_bits(const Tensor& x, const Tensor& y) {
 }
 
 TEST(CrossbarStore, FusedForwardBitExactUnderInjectedFaults) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   // 40×24 on 16×16 tiles: a 3×2 grid with shrunken edge tiles, so the
   // packed scatter crosses tile boundaries in both dimensions.
   const Tensor init = ramp(40, 24, 0.03f);
@@ -262,9 +255,7 @@ TEST(CrossbarStore, FusedForwardBitExactUnderInjectedFaults) {
 }
 
 TEST(CrossbarStore, FusedForwardTracksWritesAndPermutations) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   const Tensor init = ramp(32, 32, 0.02f);
   CrossbarWeightStore store(clean_config(), init, Rng(23));
   Rng rng(24);
@@ -297,8 +288,6 @@ TEST(CrossbarStore, FusedForwardTracksWritesAndPermutations) {
 }
 
 TEST(CrossbarStore, FusedForwardSurvivesCheckpointRestore) {
-  ReductionModeGuard mode_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   const Tensor init = ramp(20, 20, 0.02f);
   CrossbarWeightStore store(clean_config(), init, Rng(25));
   store.tile(0, 0).force_fault(2, 2, FaultKind::kStuckAt1);
@@ -316,14 +305,34 @@ TEST(CrossbarStore, FusedForwardSurvivesCheckpointRestore) {
   EXPECT_TRUE(same_bits(restored.forward_matmul(x), store.forward_matmul(x)));
 }
 
+TEST(CrossbarStore, RestoreShapeMismatchLeavesStoreUntouched) {
+  // A checkpoint of another shape must be rejected before any state is
+  // replaced: the store keeps its target, write count and forward bits.
+  CrossbarWeightStore other(clean_config(), ramp(20, 20, 0.02f), Rng(30));
+  std::stringstream ss;
+  other.save(ss);
+
+  CrossbarWeightStore store(clean_config(), ramp(16, 16, 0.03f), Rng(31));
+  store.tile(0, 0).force_fault(1, 1, FaultKind::kStuckAt1);
+  store.invalidate();
+  Rng rng(32);
+  const Tensor x = Tensor::randn({3, 16}, rng);
+  const Tensor target = store.target();
+  const std::uint64_t writes = store.write_count();
+  const Tensor out = store.forward_matmul(x);
+
+  EXPECT_THROW(store.restore(ss), CheckError);
+  EXPECT_TRUE(same_bits(store.target(), target));
+  EXPECT_EQ(store.write_count(), writes);
+  EXPECT_TRUE(same_bits(store.forward_matmul(x), out));
+}
+
 TEST(CrossbarStore, FusedForwardBitExactOnNonFiniteWeights) {
   // A NaN target programs a NaN conductance, so the packed panel holds
   // non-finite weights: the fused kernel must fall back to the exact zero
   // skip (0·NaN would poison the output) on every ISA tier, and return to
   // the branch-free path once the tile is finite again.
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   const Tensor init = ramp(40, 24, 0.03f);
   CrossbarWeightStore store(clean_config(), init, Rng(28));
   Tensor poisoned = init;
@@ -336,7 +345,7 @@ TEST(CrossbarStore, FusedForwardBitExactOnNonFiniteWeights) {
   Tensor x = Tensor::randn({9, 40}, rng);
   for (std::size_t r = 0; r < 4; ++r) x.at(r, 3) = r % 2 == 0 ? 0.0f : -0.0f;
   using gemm::detail::Isa;
-  for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx2Fma}) {
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2}) {
     if (isa > gemm::detail::host_isa()) continue;
     const gemm::detail::IsaOverride tier(isa);
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {

@@ -267,13 +267,6 @@ Tensor naive_matmul_nt(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-/// Restores the process reduction mode (tests may run under
-/// REFIT_FAST_REDUCE=1, so never assume the entry mode).
-struct ReductionModeGuard {
-  ReductionMode prev = reduction_mode();
-  ~ReductionModeGuard() { set_reduction_mode(prev); }
-};
-
 struct PoolGuard {
   ~PoolGuard() { ThreadPool::set_global_threads(1); }
 };
@@ -303,13 +296,13 @@ const GemmShape kOddShapes[] = {
 
 // Every micro-kernel tier this host can run, forced through the
 // gemm::detail::IsaOverride seam: the baseline (SSE2) tier always, the
-// AVX2 tiers where the CPU has them. Each must reproduce the naive kernels
+// AVX2 tier where the CPU has it. Each must reproduce the naive kernels
 // bit for bit on its own.
 
 std::vector<gemm::detail::Isa> host_tiers() {
   using gemm::detail::Isa;
   std::vector<Isa> tiers;
-  for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx2Fma})
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2})
     if (isa <= gemm::detail::host_isa()) tiers.push_back(isa);
   return tiers;
 }
@@ -349,46 +342,13 @@ void expect_all_tiers_match_naive(const Tensor& a, const Tensor& b,
 }
 
 TEST(GemmBlocked, DeterministicBitIdenticalToNaiveAcrossShapes) {
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   Rng rng(11);
   for (const auto& sh : tier_shapes()) {
     const Tensor a = sparse_randn({sh.m, sh.k}, rng);
     const Tensor b = sparse_randn({sh.k, sh.n}, rng);
     expect_all_tiers_match_naive(a, b, "sparse");
   }
-}
-
-TEST(GemmBlocked, FastModeWithinRelativeTolerance) {
-  ReductionModeGuard mode_guard;
-  Rng rng(12);
-  for (const auto isa : host_tiers()) {
-    const gemm::detail::IsaOverride tier(isa);
-    for (const auto& sh : tier_shapes()) {
-      const Tensor a = Tensor::randn({sh.m, sh.k}, rng);
-      const Tensor b = Tensor::randn({sh.k, sh.n}, rng);
-      set_reduction_mode(ReductionMode::kDeterministic);
-      const Tensor ref = matmul(a, b);
-      set_reduction_mode(ReductionMode::kFast);
-      const Tensor fast = matmul(a, b);
-      ASSERT_EQ(fast.shape(), ref.shape());
-      for (std::size_t i = 0; i < ref.numel(); ++i) {
-        const double tol =
-            1e-4 * std::max(1.0, static_cast<double>(std::fabs(ref[i])));
-        EXPECT_NEAR(fast[i], ref[i], tol)
-            << gemm::detail::isa_name(isa) << " element " << i;
-      }
-    }
-  }
-}
-
-TEST(GemmBlocked, ReductionModeSetterOverrides) {
-  ReductionModeGuard mode_guard;
-  set_reduction_mode(ReductionMode::kFast);
-  EXPECT_EQ(reduction_mode(), ReductionMode::kFast);
-  set_reduction_mode(ReductionMode::kDeterministic);
-  EXPECT_EQ(reduction_mode(), ReductionMode::kDeterministic);
 }
 
 TEST(GemmBlocked, PackedIndexMatchesPackB) {
@@ -409,9 +369,7 @@ TEST(GemmIsa, SignedZerosAndDenormalsBitIdentical) {
   // branch-free finite-panel path adds their ±0 products instead, which
   // must leave every accumulator's bits alone. Denormal operands and
   // products must round identically on every tier.
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   const float denorm = std::numeric_limits<float>::denorm_min() * 1000.0f;
   Rng rng(15);
   for (const auto& sh : tier_shapes()) {
@@ -434,9 +392,7 @@ TEST(GemmIsa, NonFinitePanelsKeepExactZeroSkip) {
   // 0·Inf and 0·NaN are NaN: a panel holding them must keep the naive
   // kernels' exact skip, or zero activations would poison their rows.
   // One non-finite kind per case, so every NaN in flight has one payload.
-  ReductionModeGuard mode_guard;
   PoolGuard pool_guard;
-  set_reduction_mode(ReductionMode::kDeterministic);
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Rng rng(16);
@@ -463,29 +419,24 @@ TEST(GemmIsa, NonFinitePanelsKeepExactZeroSkip) {
 }
 
 TEST(GemmIsa, OverrideRestoresDispatch) {
-  ReductionModeGuard mode_guard;
+  using gemm::detail::Isa;
   const auto tiers = host_tiers();
   ASSERT_FALSE(tiers.empty());
   EXPECT_EQ(tiers.back(), gemm::detail::host_isa());
   EXPECT_STREQ(gemm::dispatched_isa(),
                gemm::detail::isa_name(gemm::detail::host_isa()));
-  // kFast results are tier-specific (FMA rounds once), so they show which
-  // tier ran: nested overrides must unwind to the host tier.
-  set_reduction_mode(ReductionMode::kFast);
-  Rng rng(18);
-  const Tensor a = Tensor::randn({9, 21}, rng);
-  const Tensor b = Tensor::randn({21, 17}, rng);
-  const Tensor host = matmul(a, b);
+  // Nested overrides must unwind to the host tier.
+  EXPECT_EQ(gemm::detail::active_isa(), gemm::detail::host_isa());
   {
-    const gemm::detail::IsaOverride outer(gemm::detail::Isa::kBaseline);
-    const Tensor base = matmul(a, b);
+    const gemm::detail::IsaOverride outer(Isa::kBaseline);
+    EXPECT_EQ(gemm::detail::active_isa(), Isa::kBaseline);
     {
       const gemm::detail::IsaOverride inner(gemm::detail::host_isa());
-      EXPECT_TRUE(same_bits(matmul(a, b), host));
+      EXPECT_EQ(gemm::detail::active_isa(), gemm::detail::host_isa());
     }
-    EXPECT_TRUE(same_bits(matmul(a, b), base));
+    EXPECT_EQ(gemm::detail::active_isa(), Isa::kBaseline);
   }
-  EXPECT_TRUE(same_bits(matmul(a, b), host));
+  EXPECT_EQ(gemm::detail::active_isa(), gemm::detail::host_isa());
 }
 
 }  // namespace
