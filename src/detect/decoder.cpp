@@ -12,46 +12,54 @@ namespace {
 enum class CellState : unsigned char { kUnknown, kHealthy, kFaulty };
 
 struct SegmentState {
-  const Segment* seg = nullptr;
+  const std::size_t* first = nullptr;  ///< the segment's cells
+  const std::size_t* last = nullptr;
   std::size_t unresolved = 0;
   /// Residue minus already-resolved faulty cells, kept as a residue.
   std::size_t residual = 0;
 };
 
+/// Validate one direction's CSR arrays and index its segments: seg_of[cell]
+/// becomes the covering segment, states[s] its cell range and counters.
+void index_segments(const SegmentList& list, std::size_t divisor,
+                    const std::vector<CellState>& state,
+                    std::vector<int>& seg_of,
+                    std::vector<SegmentState>& states) {
+  REFIT_CHECK(list.begin.size() == list.residue.size() + 1 &&
+              list.begin.front() == 0 &&
+              list.begin.back() == list.cells.size());
+  states.resize(list.size());
+  for (std::size_t s = 0; s < list.size(); ++s) {
+    REFIT_CHECK(list.begin[s] <= list.begin[s + 1]);
+    SegmentState& ss = states[s];
+    ss.first = list.cells.data() + list.begin[s];
+    ss.last = list.cells.data() + list.begin[s + 1];
+    ss.residual = list.residue[s] % divisor;
+    for (const std::size_t* p = ss.first; p != ss.last; ++p) {
+      REFIT_CHECK(*p < state.size());
+      seg_of[*p] = static_cast<int>(s);
+      if (state[*p] == CellState::kUnknown) ++ss.unresolved;
+    }
+  }
+}
+
 }  // namespace
 
-std::vector<bool> decode_segments(const DecodeInput& in) {
+std::vector<std::uint8_t> decode_segments(const DecodeInput& in) {
   REFIT_CHECK(in.rows > 0 && in.cols > 0 && in.divisor >= 2);
   const std::size_t n = in.rows * in.cols;
   REFIT_CHECK(in.candidate.size() == n);
 
   std::vector<CellState> state(n, CellState::kUnknown);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!in.candidate[i]) state[i] = CellState::kHealthy;
+    if (in.candidate[i] == 0) state[i] = CellState::kHealthy;
   }
 
   // Index: for each cell, which row/col segment covers it (if any).
   std::vector<int> row_seg_of(n, -1), col_seg_of(n, -1);
-  std::vector<SegmentState> rs(in.row_segments.size());
-  std::vector<SegmentState> cs(in.col_segments.size());
-  for (std::size_t s = 0; s < in.row_segments.size(); ++s) {
-    rs[s].seg = &in.row_segments[s];
-    rs[s].residual = in.row_segments[s].residue % in.divisor;
-    for (std::size_t cell : in.row_segments[s].cells) {
-      REFIT_CHECK(cell < n);
-      row_seg_of[cell] = static_cast<int>(s);
-      if (state[cell] == CellState::kUnknown) ++rs[s].unresolved;
-    }
-  }
-  for (std::size_t s = 0; s < in.col_segments.size(); ++s) {
-    cs[s].seg = &in.col_segments[s];
-    cs[s].residual = in.col_segments[s].residue % in.divisor;
-    for (std::size_t cell : in.col_segments[s].cells) {
-      REFIT_CHECK(cell < n);
-      col_seg_of[cell] = static_cast<int>(s);
-      if (state[cell] == CellState::kUnknown) ++cs[s].unresolved;
-    }
-  }
+  std::vector<SegmentState> rs, cs;
+  index_segments(in.row_segments, in.divisor, state, row_seg_of, rs);
+  index_segments(in.col_segments, in.divisor, state, col_seg_of, cs);
 
   // Resolve a cell and update both covering segments' residuals.
   auto resolve = [&](std::size_t cell, CellState verdict) {
@@ -82,22 +90,20 @@ std::vector<bool> decode_segments(const DecodeInput& in) {
           // Modulo information loss: with >= divisor unknowns the residue
           // no longer pins the exact count, so the exact rules are unsafe.
           if (ss.unresolved >= in.divisor) continue;
+          // The branch is picked once per segment: resolving mutates
+          // unresolved/residual, but only ever the visited cell's state.
           if (ss.residual == 0) {
-            for (std::size_t cell : ss.seg->cells)
-              if (state[cell] == CellState::kUnknown) {
-                resolve(cell, CellState::kHealthy);
+            for (const std::size_t* p = ss.first; p != ss.last; ++p)
+              if (state[*p] == CellState::kUnknown) {
+                resolve(*p, CellState::kHealthy);
                 changed = true;
               }
           } else if (ss.residual == ss.unresolved) {
-            // Snapshot: resolving mutates unresolved/residual.
-            std::vector<std::size_t> unknowns;
-            for (std::size_t cell : ss.seg->cells)
-              if (state[cell] == CellState::kUnknown)
-                unknowns.push_back(cell);
-            for (std::size_t cell : unknowns) {
-              resolve(cell, CellState::kFaulty);
-              changed = true;
-            }
+            for (const std::size_t* p = ss.first; p != ss.last; ++p)
+              if (state[*p] == CellState::kUnknown) {
+                resolve(*p, CellState::kFaulty);
+                changed = true;
+              }
           }
         }
       }
@@ -106,11 +112,11 @@ std::vector<bool> decode_segments(const DecodeInput& in) {
 
   // Fallback for the ambiguous remainder: flag when both directions still
   // carry evidence of stuck cells.
-  std::vector<bool> predicted(n, false);
+  std::vector<std::uint8_t> predicted(n, 0);
   for (std::size_t cell = 0; cell < n; ++cell) {
     switch (state[cell]) {
       case CellState::kFaulty:
-        predicted[cell] = true;
+        predicted[cell] = 1;
         break;
       case CellState::kHealthy:
         break;
@@ -124,9 +130,9 @@ std::vector<bool> decode_segments(const DecodeInput& in) {
         // A cell covered by only one direction keeps that direction's
         // verdict; covered by both requires agreement.
         if (rsi >= 0 && csi >= 0) {
-          predicted[cell] = row_ev && col_ev;
+          predicted[cell] = static_cast<std::uint8_t>(row_ev && col_ev);
         } else {
-          predicted[cell] = row_ev || col_ev;
+          predicted[cell] = static_cast<std::uint8_t>(row_ev || col_ev);
         }
         break;
       }

@@ -2,6 +2,7 @@
 #include "detect/quiescent_detector.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "detect/decoder.hpp"
@@ -12,47 +13,81 @@ namespace refit {
 
 namespace {
 
-/// Chunk `selected` into groups of at most `per_cycle` indices.
-std::vector<std::vector<std::size_t>> make_groups(
-    const std::vector<std::size_t>& selected, std::size_t per_cycle) {
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < selected.size(); i += per_cycle) {
-    const std::size_t end = std::min(i + per_cycle, selected.size());
-    groups.emplace_back(selected.begin() + static_cast<std::ptrdiff_t>(i),
-                        selected.begin() + static_cast<std::ptrdiff_t>(end));
+/// Per-cell cost of detect() relative to the one-op-per-cell visitors
+/// (rebuild, pack) that TileGrid's default grain assumes: two passes of
+/// RNG-driven pulse writes, per-segment analog sums and decoding. Sized so
+/// a store of a few full tiles fans out across the pool.
+constexpr std::size_t kDetectWorkPerCell = 64;
+
+/// Visit the lines whose `any` flag is set, in ascending order, in groups
+/// of at most `per_cycle` — one group per voltage-application cycle.
+template <typename Cycle>
+void for_each_group(const std::vector<std::uint8_t>& any,
+                    std::size_t per_cycle, std::vector<std::size_t>& group,
+                    Cycle&& cycle) {
+  group.clear();
+  for (std::size_t i = 0; i < any.size(); ++i) {
+    if (any[i] == 0) continue;
+    group.push_back(i);
+    if (group.size() == per_cycle) {
+      cycle(group);
+      group.clear();
+    }
   }
-  return groups;
+  if (!group.empty()) cycle(group);
+}
+
+/// a += b's counters.
+void add_counters(DetectionOutcome& a, const DetectionOutcome& b) {
+  a.cycles += b.cycles;
+  a.cells_tested += b.cells_tested;
+  a.device_writes += b.device_writes;
+  a.adc_reads += b.adc_reads;
+  a.cells_retested += b.cells_retested;
 }
 
 }  // namespace
 
-void QuiescentVoltageDetector::run_pass(
-    Crossbar& xbar, int stuck_level, int pulse,
-    const std::vector<std::vector<int>>& stored, FaultMatrix& predicted,
-    DetectionOutcome& out) const {
+struct QuiescentVoltageDetector::Workspace {
+  std::vector<int> stored;  ///< read-out level per cell (the reference)
+  std::vector<std::uint8_t> row_any;  ///< row holds a candidate
+  std::vector<std::uint8_t> col_any;  ///< column holds a candidate
+  std::vector<std::size_t> group;     ///< lines driven in the current cycle
+  DecodeInput din;                    ///< candidate mask + CSR segments
+};
+
+void QuiescentVoltageDetector::run_pass(Crossbar& xbar, int stuck_level,
+                                        int pulse, Workspace& ws,
+                                        DetectionOutcome& out) const {
   const std::size_t rows = xbar.rows(), cols = xbar.cols();
   const std::size_t levels = xbar.config().levels;
   const double gap = xbar.config().level_gap();
   const auto lm1 = static_cast<double>(levels - 1);
+  std::vector<int>& stored = ws.stored;
+  std::vector<std::uint8_t>& candidate = ws.din.candidate;
 
-  // Step 2: candidate selection. Even without §4.3's selected-cell mode
+  // Steps 1–2: read the crossbar into the off-chip reference and choose
+  // the candidates in one sweep. Even without §4.3's selected-cell mode
   // the controller knows the stored values, so cells already saturated at
   // the pulse's end of the range are excluded — they cannot respond to the
   // write and would otherwise be guaranteed false positives.
-  std::vector<bool> candidate(rows * cols, false);
+  ws.row_any.assign(rows, 0);
+  ws.col_any.assign(cols, 0);
   std::size_t candidate_count = 0;
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t i = r * cols + c;
+      const int level = xbar.read_level(r, c);
+      stored[i] = level;
       const bool can_respond = pulse > 0
-                                   ? stored[r][c] < static_cast<int>(levels) - 1
-                                   : stored[r][c] > 0;
-      const bool is_candidate = cfg_.selected_cells_only
-                                    ? stored[r][c] == stuck_level
-                                    : can_respond;
-      if (is_candidate) {
-        candidate[r * cols + c] = true;
-        ++candidate_count;
-      }
+                                   ? level < static_cast<int>(levels) - 1
+                                   : level > 0;
+      const bool is_candidate =
+          cfg_.selected_cells_only ? level == stuck_level : can_respond;
+      candidate[i] = is_candidate ? 1 : 0;
+      ws.row_any[r] |= candidate[i];
+      ws.col_any[c] |= candidate[i];
+      candidate_count += candidate[i];
     }
   }
   if (candidate_count == 0) return;
@@ -61,7 +96,7 @@ void QuiescentVoltageDetector::run_pass(
   // Step 3: write the ±δw pulse to every candidate.
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      if (!candidate[r * cols + c]) continue;
+      if (candidate[r * cols + c] == 0) continue;
       xbar.write(r, c, xbar.conductance(r, c) + pulse * gap);
       ++out.device_writes;
     }
@@ -85,77 +120,64 @@ void QuiescentVoltageDetector::run_pass(
     return static_cast<std::size_t>(diff);
   };
 
-  DecodeInput din;
-  din.rows = rows;
-  din.cols = cols;
-  din.divisor = divisor;
-  din.candidate = candidate;
-  din.use_constraint_propagation = cfg_.use_constraint_propagation;
-
   // Row-direction: drive groups of rows, read all column outputs per cycle.
-  std::vector<std::size_t> sel_rows;
-  for (std::size_t r = 0; r < rows; ++r) {
-    bool any = false;
-    for (std::size_t c = 0; c < cols && !any; ++c) any = candidate[r * cols + c];
-    if (any) sel_rows.push_back(r);
-  }
-  for (const auto& group : make_groups(sel_rows, cfg_.test_rows_per_cycle)) {
+  // A column with no candidate in the group is not a segment (nothing
+  // testable), so it is neither digitized nor decoded.
+  SegmentList& row_segs = ws.din.row_segments;
+  row_segs.clear();
+  for_each_group(ws.row_any, cfg_.test_rows_per_cycle, ws.group,
+                 [&](const std::vector<std::size_t>& group) {
     ++out.cycles;
     for (std::size_t c = 0; c < cols; ++c) {
-      Segment seg;
       double expected = 0.0;
       for (std::size_t r : group) {
-        double level = stored[r][c];
-        if (candidate[r * cols + c]) {
+        const std::size_t i = r * cols + c;
+        double level = stored[i];
+        if (candidate[i] != 0) {
           level += pulse;
-          seg.cells.push_back(r * cols + c);
+          row_segs.cells.push_back(i);
         }
         expected += xbar.attenuation(r, c) * level * gap;
       }
-      if (seg.cells.empty()) continue;  // nothing testable in this segment
+      if (row_segs.open_empty()) continue;
       const double measured = xbar.sum_conductance_rows(group, c);
       ++out.adc_reads;
-      seg.residue = residue_of(expected, measured);
-      din.row_segments.push_back(std::move(seg));
+      row_segs.close(residue_of(expected, measured));
     }
-  }
+  });
 
   // Column-direction (the crossbar works both ways, §4.1).
-  std::vector<std::size_t> sel_cols;
-  for (std::size_t c = 0; c < cols; ++c) {
-    bool any = false;
-    for (std::size_t r = 0; r < rows && !any; ++r) any = candidate[r * cols + c];
-    if (any) sel_cols.push_back(c);
-  }
-  for (const auto& group : make_groups(sel_cols, cfg_.tc())) {
+  SegmentList& col_segs = ws.din.col_segments;
+  col_segs.clear();
+  for_each_group(ws.col_any, cfg_.tc(), ws.group,
+                 [&](const std::vector<std::size_t>& group) {
     ++out.cycles;
     for (std::size_t r = 0; r < rows; ++r) {
-      Segment seg;
       double expected = 0.0;
       for (std::size_t c : group) {
-        double level = stored[r][c];
-        if (candidate[r * cols + c]) {
+        const std::size_t i = r * cols + c;
+        double level = stored[i];
+        if (candidate[i] != 0) {
           level += pulse;
-          seg.cells.push_back(r * cols + c);
+          col_segs.cells.push_back(i);
         }
         expected += xbar.attenuation(r, c) * level * gap;
       }
-      if (seg.cells.empty()) continue;
+      if (col_segs.open_empty()) continue;
       const double measured = xbar.sum_conductance_cols(group, r);
       ++out.adc_reads;
-      seg.residue = residue_of(expected, measured);
-      din.col_segments.push_back(std::move(seg));
+      col_segs.close(residue_of(expected, measured));
     }
-  }
+  });
 
   // Step 7: decode.
-  const std::vector<bool> flags = decode_segments(din);
+  const std::vector<std::uint8_t> flags = decode_segments(ws.din);
   const FaultKind kind =
       stuck_level == 0 ? FaultKind::kStuckAt0 : FaultKind::kStuckAt1;
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      if (flags[r * cols + c] && !predicted.faulty(r, c)) {
-        predicted.set(r, c, kind);
+      if (flags[r * cols + c] != 0 && !out.predicted.faulty(r, c)) {
+        out.predicted.set(r, c, kind);
       }
     }
   }
@@ -163,7 +185,7 @@ void QuiescentVoltageDetector::run_pass(
   // Step 6: restore the training weights with the opposite pulse.
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      if (!candidate[r * cols + c]) continue;
+      if (candidate[r * cols + c] == 0) continue;
       xbar.write(r, c, xbar.conductance(r, c) - pulse * gap);
       ++out.device_writes;
     }
@@ -176,13 +198,6 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
   DetectionOutcome out;
   out.predicted = FaultMatrix(rows, cols);
 
-  auto read_all = [&] {
-    std::vector<std::vector<int>> stored(rows, std::vector<int>(cols, 0));
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < cols; ++c) stored[r][c] = xbar.read_level(r, c);
-    return stored;
-  };
-
   if (cfg_.classify_soft) {
     // Snapshot truth before the first pulse: classification scrubs soft
     // faults, so this is the reference evaluate_classified scores against.
@@ -192,18 +207,18 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
         out.truth_before.set(r, c, xbar.fault(r, c));
   }
 
+  Workspace ws;
+  ws.stored.resize(rows * cols);
+  ws.din.rows = rows;
+  ws.din.cols = cols;
+  ws.din.divisor = cfg_.modulo_divisor;
+  ws.din.use_constraint_propagation = cfg_.use_constraint_propagation;
+  ws.din.candidate.resize(rows * cols);
   // SA0 pass: stuck at the lowest level, tested with a +δw increment.
-  {
-    const auto stored = read_all();
-    run_pass(xbar, /*stuck_level=*/0, /*pulse=*/+1, stored, out.predicted,
-             out);
-  }
+  run_pass(xbar, /*stuck_level=*/0, /*pulse=*/+1, ws, out);
   // SA1 pass: stuck at the highest level, tested with a −δw decrement.
-  {
-    const auto stored = read_all();
-    run_pass(xbar, static_cast<int>(xbar.config().levels) - 1, /*pulse=*/-1,
-             stored, out.predicted, out);
-  }
+  run_pass(xbar, static_cast<int>(xbar.config().levels) - 1, /*pulse=*/-1, ws,
+           out);
 
   if (cfg_.classify_soft) {
     // Confirmation pass: give every predicted cell one strong pulse one
@@ -247,11 +262,7 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
     static obs::Counter soft_metric = obs::MetricsRegistry::instance().counter(
         "detector.soft_classified", "cells");
     retests_metric.add(out.cells_retested);
-    std::size_t nsoft = 0;
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < cols; ++c)
-        if (out.classified_soft.faulty(r, c)) ++nsoft;
-    soft_metric.add(nsoft);
+    soft_metric.add(out.classified_soft.count_faulty());
   }
   // Telemetry (docs/observability.md). detect() runs on pool lanes when
   // fanned out by detect_store; the handles are relaxed atomics, so the
@@ -282,80 +293,66 @@ DetectionOutcome QuiescentVoltageDetector::detect_store(
   }
   // Tiles are embarrassingly parallel: each owns its RNG, its pulses stay
   // inside the tile, and its predictions land in a disjoint physical block
-  // of the store-level map. The grid's for_each_tile fans the per-tile
-  // detections across the pool; outcomes are kept in slots and merged in
-  // tile order below, so totals are deterministic at any thread count. A
-  // differential store's two leg planes cover the same physical block, so
-  // one lane tests both serially.
+  // of the store-level maps — so each lane detects its tiles and merges
+  // their verdicts into those blocks itself. Only the counters are summed
+  // on the caller, in tile order, so totals are deterministic at any
+  // thread count. A differential store's two leg planes cover the same
+  // physical block, so one lane tests both serially.
   const std::size_t legs = store.legs();
   const TileGrid& grid = store.grid();
-  std::vector<DetectionOutcome> tile_p(grid.tile_count());
-  std::vector<DetectionOutcome> tile_n(legs == 2 ? grid.tile_count() : 0);
-  grid.for_each_tile([&](const TileSpan& span) {
-    tile_p[span.index] = detect(store.tile(span.ti, span.tj));
-    if (legs == 2) {
-      tile_n[span.index] = detect(store.tile_n(span.ti, span.tj));
-    }
-  });
-  for (std::size_t t = 0; t < grid.tile_count(); ++t) {
-    const TileSpan span = grid.span(t);
-    for (std::size_t r = 0; r < span.rows; ++r) {
-      for (std::size_t c = 0; c < span.cols; ++c) {
-        const std::size_t pr = span.row0 + r, pc = span.col0 + c;
-        const FaultKind pp = tile_p[t].predicted.at(r, c);
-        const FaultKind pn =
-            legs == 2 ? tile_n[t].predicted.at(r, c) : FaultKind::kNone;
-        out.predicted.set(pr, pc, pp != FaultKind::kNone ? pp : pn);
-        if (!classify) continue;
-        // Truth merge mirrors CrossbarWeightStore::true_fault: hard > soft
-        // > none, G_p leg breaks ties.
-        const FaultKind tp = tile_p[t].truth_before.at(r, c);
-        const FaultKind tn = legs == 2 ? tile_n[t].truth_before.at(r, c)
-                                       : FaultKind::kNone;
-        out.truth_before.set(
-            pr, pc,
-            fault_is_hard(tp) ? tp
-            : fault_is_hard(tn) ? tn
-            : (tp != FaultKind::kNone ? tp : tn));
-        // The weight is only transiently impaired if every leg that tripped
-        // the detector was classified soft — one hard leg pins it for good.
-        const bool p_pred = pp != FaultKind::kNone;
-        const bool n_pred = pn != FaultKind::kNone;
-        const bool p_soft = p_pred && tile_p[t].classified_soft.faulty(r, c);
-        const bool n_soft = n_pred && tile_n[t].classified_soft.faulty(r, c);
-        if ((p_pred || n_pred) && (!p_pred || p_soft) && (!n_pred || n_soft)) {
-          out.classified_soft.set(pr, pc,
-                                  p_pred
-                                      ? tile_p[t].classified_soft.at(r, c)
-                                      : tile_n[t].classified_soft.at(r, c));
+  std::vector<DetectionOutcome> tile_counts(grid.tile_count());
+  grid.for_each_tile(
+      [&](const TileSpan& span) {
+        const DetectionOutcome tp = detect(store.tile(span.ti, span.tj));
+        const DetectionOutcome tn = legs == 2
+                                        ? detect(store.tile_n(span.ti, span.tj))
+                                        : DetectionOutcome{};
+        for (std::size_t r = 0; r < span.rows; ++r) {
+          for (std::size_t c = 0; c < span.cols; ++c) {
+            const std::size_t pr = span.row0 + r;
+            const std::size_t pc = span.col0 + c;
+            const FaultKind pp = tp.predicted.at(r, c);
+            const FaultKind pn =
+                legs == 2 ? tn.predicted.at(r, c) : FaultKind::kNone;
+            out.predicted.set(pr, pc, pp != FaultKind::kNone ? pp : pn);
+            if (!classify) continue;
+            // Truth merge mirrors CrossbarWeightStore::true_fault: hard >
+            // soft > none, G_p leg breaks ties.
+            const FaultKind ttp = tp.truth_before.at(r, c);
+            const FaultKind ttn =
+                legs == 2 ? tn.truth_before.at(r, c) : FaultKind::kNone;
+            out.truth_before.set(
+                pr, pc,
+                fault_is_hard(ttp) ? ttp
+                : fault_is_hard(ttn) ? ttn
+                : (ttp != FaultKind::kNone ? ttp : ttn));
+            // The weight is only transiently impaired if every leg that
+            // tripped the detector was classified soft — one hard leg pins
+            // it for good.
+            const bool p_pred = pp != FaultKind::kNone;
+            const bool n_pred = pn != FaultKind::kNone;
+            const bool p_soft = p_pred && tp.classified_soft.faulty(r, c);
+            const bool n_soft = n_pred && tn.classified_soft.faulty(r, c);
+            if ((p_pred || n_pred) && (!p_pred || p_soft) &&
+                (!n_pred || n_soft)) {
+              out.classified_soft.set(pr, pc,
+                                      p_pred ? tp.classified_soft.at(r, c)
+                                             : tn.classified_soft.at(r, c));
+            }
+          }
         }
-      }
-    }
-    out.cycles += tile_p[t].cycles;
-    out.cells_tested += tile_p[t].cells_tested;
-    out.device_writes += tile_p[t].device_writes;
-    out.adc_reads += tile_p[t].adc_reads;
-    out.cells_retested += tile_p[t].cells_retested;
-    if (legs == 2) {
-      out.cycles += tile_n[t].cycles;
-      out.cells_tested += tile_n[t].cells_tested;
-      out.device_writes += tile_n[t].device_writes;
-      out.adc_reads += tile_n[t].adc_reads;
-      out.cells_retested += tile_n[t].cells_retested;
-    }
-  }
+        add_counters(tile_counts[span.index], tp);
+        add_counters(tile_counts[span.index], tn);
+      },
+      kDetectWorkPerCell);
+  for (const DetectionOutcome& t : tile_counts) add_counters(out, t);
   static obs::Counter rounds_metric =
       obs::MetricsRegistry::instance().counter("detector.rounds", "rounds");
   rounds_metric.add();
   // Per-store detection event (the engine emits the per-round aggregate).
   // Serial — the tile fan-out has already joined — so event order is
   // deterministic at any thread count.
-  std::uint64_t predicted_faults = 0;
-  for (std::size_t r = 0; r < out.predicted.rows(); ++r) {
-    for (std::size_t c = 0; c < out.predicted.cols(); ++c) {
-      if (out.predicted.faulty(r, c)) ++predicted_faults;
-    }
-  }
+  const std::size_t predicted_faults = out.predicted.count_faulty();
   obs::EventLog::global().emit(
       obs::EventKind::kFaultDetected, obs::EventSeverity::kInfo, "store",
       {{"cells_tested", static_cast<double>(out.cells_tested)},
@@ -367,18 +364,21 @@ DetectionOutcome QuiescentVoltageDetector::detect_store(
 }
 
 ClassifiedConfusion evaluate_classified(const DetectionOutcome& out) {
-  REFIT_CHECK_MSG(out.truth_before.rows() == out.predicted.rows() &&
-                      out.truth_before.cols() == out.predicted.cols(),
-                  "evaluate_classified needs a classify_soft outcome");
+  const auto same_shape = [&](const FaultMatrix& m) {
+    return m.rows() == out.predicted.rows() && m.cols() == out.predicted.cols();
+  };
+  REFIT_CHECK_MSG(
+      same_shape(out.truth_before) && same_shape(out.classified_soft),
+      "evaluate_classified needs a classify_soft outcome");
+  const std::vector<FaultKind>& pred = out.predicted.cells();
+  const std::vector<FaultKind>& soft = out.classified_soft.cells();
+  const std::vector<FaultKind>& truth = out.truth_before.cells();
   ClassifiedConfusion cc;
-  for (std::size_t r = 0; r < out.predicted.rows(); ++r) {
-    for (std::size_t c = 0; c < out.predicted.cols(); ++c) {
-      const FaultKind truth = out.truth_before.at(r, c);
-      const bool pred_soft = out.classified_soft.faulty(r, c);
-      const bool pred_hard = out.predicted.faulty(r, c) && !pred_soft;
-      cc.hard.add(fault_is_hard(truth), pred_hard);
-      cc.soft.add(fault_is_soft(truth), pred_soft);
-    }
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const bool pred_soft = soft[i] != FaultKind::kNone;
+    const bool pred_hard = pred[i] != FaultKind::kNone && !pred_soft;
+    cc.hard.add(fault_is_hard(truth[i]), pred_hard);
+    cc.soft.add(fault_is_soft(truth[i]), pred_soft);
   }
   return cc;
 }

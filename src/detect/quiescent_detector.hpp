@@ -18,6 +18,17 @@
 // Test time is counted in voltage-application cycles:
 // ceil(Er/Tr) + ceil(Ec/Tc) per pass, where Er/Ec are the selected
 // row/column counts (paper §6.1).
+//
+// A pass works on flat per-crossbar buffers reused by both passes of one
+// detect(): the stored levels (one int per cell), a uint8 candidate mask
+// built in the same sweep that marks the rows/columns holding candidates,
+// and the measured segments in the decoder's CSR form (decoder.hpp) — no
+// allocation per group or per segment.
+//
+// detect_store runs each tile's detect() on its own pool lane (the tile
+// grid's grain is weighted by the pass's per-cell cost, so realistic
+// stores fan out) and merges each tile's verdicts into its disjoint block
+// of the store-level maps on the same lane.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +102,13 @@ class QuiescentVoltageDetector {
   [[nodiscard]] DetectionOutcome detect_store(CrossbarWeightStore& store) const;
 
  private:
+  /// Flat buffers shared by the passes of one detect() call.
+  struct Workspace;
+
   /// One fault-type pass. `stuck_level` is the level a faulty cell is
   /// pinned at (0 for SA0, levels-1 for SA1); `pulse` is ±1 level.
-  void run_pass(Crossbar& xbar, int stuck_level, int pulse,
-                const std::vector<std::vector<int>>& stored,
-                FaultMatrix& predicted, DetectionOutcome& out) const;
+  void run_pass(Crossbar& xbar, int stuck_level, int pulse, Workspace& ws,
+                DetectionOutcome& out) const;
 
   DetectorConfig cfg_;
 };

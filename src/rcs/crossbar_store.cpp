@@ -22,6 +22,11 @@ namespace {
 // docs/observability.md). The handles are function-local statics at the
 // call sites; increments are relaxed atomics, safe from pool lanes.
 
+/// Per-cell cost of one device tick in TileGrid grain units: soft-fault
+/// decay, drift and a Bernoulli draw per cell, per leg. Sized so a store
+/// of a few full tiles ticks on every pool lane.
+constexpr std::size_t kTickWorkPerCell = 16;
+
 double rms(const Tensor& t) {
   double s = 0.0;
   for (std::size_t i = 0; i < t.numel(); ++i) {
@@ -228,14 +233,16 @@ void CrossbarWeightStore::tick_noise() {
   static obs::Counter ticks_metric =
       obs::MetricsRegistry::instance().counter("device.ticks", "ticks");
   ticks_metric.add();
-  grid_.for_each_tile([&](const TileSpan& span) {
-    Rng leg_p = tick_rng.split(span.index * 2 + 1);
-    model.tick_tile(*tiles_[span.index], leg_p);
-    if (!tiles_n_.empty()) {
-      Rng leg_n = tick_rng.split(span.index * 2 + 2);
-      model.tick_tile(*tiles_n_[span.index], leg_n);
-    }
-  });
+  grid_.for_each_tile(
+      [&](const TileSpan& span) {
+        Rng leg_p = tick_rng.split(span.index * 2 + 1);
+        model.tick_tile(*tiles_[span.index], leg_p);
+        if (!tiles_n_.empty()) {
+          Rng leg_n = tick_rng.split(span.index * 2 + 2);
+          model.tick_tile(*tiles_n_[span.index], leg_n);
+        }
+      },
+      kTickWorkPerCell);
   invalidate();
 }
 

@@ -8,7 +8,8 @@
 // for_each_tile, fans the per-tile visits across the global thread pool
 // with static partitioning, so visitors that write disjoint per-tile
 // output are bit-identical at any thread count (the same guarantee as
-// common/thread_pool.hpp).
+// common/thread_pool.hpp). The fan-out is grained on tile cells weighted
+// by the caller's per-cell cost.
 #pragma once
 
 #include <cstddef>
@@ -61,8 +62,13 @@ class TileGrid {
 
   /// Visit every tile, one pool lane per contiguous chunk of tiles.
   /// The visitor must confine its writes to per-tile state (the static
-  /// partition makes the result order-independent).
-  void for_each_tile(const TileVisitor& visit) const;
+  /// partition makes the result order-independent). `work_per_cell` is the
+  /// visitor's cost per tile cell in the pool's grain units (one element
+  /// visit each): the fan-out width is sized from tile cells × this
+  /// weight, so cheap visitors over a few tiles stay inline while costly
+  /// ones (detection, device ticks) spread across the lanes.
+  void for_each_tile(const TileVisitor& visit,
+                     std::size_t work_per_cell = 1) const;
 
   /// Visit only the tiles whose flat indices appear in `subset` (the
   /// incremental-rebuild path visits just the dirty tiles).

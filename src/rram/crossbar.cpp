@@ -33,11 +33,6 @@ Crossbar::Crossbar(CrossbarConfig cfg, EnduranceModel endurance, Rng rng)
   }
 }
 
-std::size_t Crossbar::idx(std::size_t r, std::size_t c) const {
-  REFIT_DCHECK(r < cfg_.rows && c < cfg_.cols);
-  return r * cfg_.cols + c;
-}
-
 double Crossbar::snap(double g) const {
   const double levels_minus_1 = static_cast<double>(cfg_.levels - 1);
   const double level = std::round(std::clamp(g, 0.0, 1.0) * levels_minus_1);
@@ -68,26 +63,6 @@ void Crossbar::write(std::size_t r, std::size_t c, double target_g) {
     g += rng_.normal(0.0, cfg_.write_noise_sigma);
   }
   g_[i] = std::clamp(g, 0.0, 1.0);
-}
-
-double Crossbar::conductance(std::size_t r, std::size_t c) const {
-  return g_[idx(r, c)];
-}
-
-double Crossbar::attenuation(std::size_t r, std::size_t c) const {
-  if (cfg_.wire_resistance_ratio <= 0.0) return 1.0;
-  return 1.0 / (1.0 + cfg_.wire_resistance_ratio *
-                          static_cast<double>(r + c + 2));
-}
-
-double Crossbar::effective_conductance(std::size_t r, std::size_t c) const {
-  ++reads_;
-  return g_[idx(r, c)] * attenuation(r, c);
-}
-
-int Crossbar::read_level(std::size_t r, std::size_t c) const {
-  const double levels_minus_1 = static_cast<double>(cfg_.levels - 1);
-  return static_cast<int>(std::round(g_[idx(r, c)] * levels_minus_1));
 }
 
 FaultKind Crossbar::fault(std::size_t r, std::size_t c) const {

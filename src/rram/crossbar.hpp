@@ -13,11 +13,13 @@
 // leaves the cell permanently stuck.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace refit {
@@ -91,20 +93,36 @@ class Crossbar {
   /// a healthy cell consumes endurance and may wear the cell out.
   void write(std::size_t r, std::size_t c, double target_g);
 
+  // The per-cell accessors below are defined inline: the detector, the
+  // effective-weight rebuild and the fused-forward pack call them once per
+  // cell per pass.
+
   /// Actual analog conductance (stuck cells report their pinned value).
-  [[nodiscard]] double conductance(std::size_t r, std::size_t c) const;
+  [[nodiscard]] double conductance(std::size_t r, std::size_t c) const {
+    return g_[idx(r, c)];
+  }
 
   /// IR-drop attenuation factor of the cell's contribution to an analog
   /// read-out (1.0 when wire resistance modelling is disabled).
-  [[nodiscard]] double attenuation(std::size_t r, std::size_t c) const;
+  [[nodiscard]] double attenuation(std::size_t r, std::size_t c) const {
+    if (cfg_.wire_resistance_ratio <= 0.0) return 1.0;
+    return 1.0 / (1.0 + cfg_.wire_resistance_ratio *
+                            static_cast<double>(r + c + 2));
+  }
 
   /// Conductance as seen by the analog compute/read-out path:
   /// conductance × attenuation.
   [[nodiscard]] double effective_conductance(std::size_t r,
-                                             std::size_t c) const;
+                                             std::size_t c) const {
+    ++reads_;
+    return g_[idx(r, c)] * attenuation(r, c);
+  }
 
   /// ADC-quantized read: nearest level index in [0, levels).
-  [[nodiscard]] int read_level(std::size_t r, std::size_t c) const;
+  [[nodiscard]] int read_level(std::size_t r, std::size_t c) const {
+    const double levels_minus_1 = static_cast<double>(cfg_.levels - 1);
+    return static_cast<int>(std::round(g_[idx(r, c)] * levels_minus_1));
+  }
 
   [[nodiscard]] FaultKind fault(std::size_t r, std::size_t c) const;
   [[nodiscard]] bool is_stuck(std::size_t r, std::size_t c) const {
@@ -171,7 +189,10 @@ class Crossbar {
   static Crossbar load(std::istream& is);
 
  private:
-  [[nodiscard]] std::size_t idx(std::size_t r, std::size_t c) const;
+  [[nodiscard]] std::size_t idx(std::size_t r, std::size_t c) const {
+    REFIT_DCHECK(r < cfg_.rows && c < cfg_.cols);
+    return r * cfg_.cols + c;
+  }
   /// Snap to the nearest discrete level.
   [[nodiscard]] double snap(double g) const;
 

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "detect/quiescent_detector.hpp"
+#include "inline_call_probe.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "tensor/ops.hpp"
 
@@ -227,30 +228,41 @@ TEST(Backend, RunningCountersMatchFreshTileScan) {
 
 TEST(Backend, DetectStoreBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
-  DetectorConfig dcfg;
-  dcfg.selected_cells_only = true;
-  auto run = [&](std::size_t threads) {
-    ThreadPool::set_global_threads(threads);
-    RcsConfig cfg;
-    cfg.tile_rows = 16;
-    cfg.tile_cols = 16;
-    cfg.inject_fabrication = true;
-    cfg.fabrication.fraction = 0.1;
-    CrossbarWeightStore store(cfg, random_weights(48, 32, 21), Rng(17));
-    const QuiescentVoltageDetector det(dcfg);
-    return det.detect_store(store);
-  };
-  const DetectionOutcome ref = run(1);
-  for (const std::size_t threads : {2UL, 5UL}) {
-    const DetectionOutcome out = run(threads);
-    EXPECT_EQ(out.cycles, ref.cycles);
-    EXPECT_EQ(out.cells_tested, ref.cells_tested);
-    EXPECT_EQ(out.device_writes, ref.device_writes);
-    ASSERT_EQ(out.predicted.rows(), ref.predicted.rows());
-    for (std::size_t r = 0; r < ref.predicted.rows(); ++r) {
-      for (std::size_t c = 0; c < ref.predicted.cols(); ++c) {
-        EXPECT_EQ(out.predicted.at(r, c), ref.predicted.at(r, c));
+  for (const bool classify : {false, true}) {
+    SCOPED_TRACE(classify ? "classify_soft" : "hard only");
+    DetectorConfig dcfg;
+    dcfg.selected_cells_only = true;
+    dcfg.classify_soft = classify;
+    // Six 16x16 tiles: the detection grain must fan them out even though
+    // the cheap visitors (rebuild, pack) keep stores this small inline.
+    auto run = [&](std::size_t threads) {
+      ThreadPool::set_global_threads(threads);
+      RcsConfig cfg;
+      cfg.tile_rows = 16;
+      cfg.tile_cols = 16;
+      cfg.inject_fabrication = true;
+      cfg.fabrication.fraction = 0.1;
+      CrossbarWeightStore store(cfg, random_weights(48, 32, 21), Rng(17));
+      const QuiescentVoltageDetector det(dcfg);
+      const InlineCallProbe probe;
+      DetectionOutcome out = det.detect_store(store);
+      if (threads > 1 && probe.available()) {
+        EXPECT_GE(probe.calls(), 1u);
+        EXPECT_EQ(probe.inline_calls(), 0u) << "detect_store ran inline";
       }
+      return out;
+    };
+    const DetectionOutcome ref = run(1);
+    for (const std::size_t threads : {2UL, 5UL}) {
+      const DetectionOutcome out = run(threads);
+      EXPECT_EQ(out.cycles, ref.cycles);
+      EXPECT_EQ(out.cells_tested, ref.cells_tested);
+      EXPECT_EQ(out.device_writes, ref.device_writes);
+      EXPECT_EQ(out.adc_reads, ref.adc_reads);
+      EXPECT_EQ(out.cells_retested, ref.cells_retested);
+      EXPECT_EQ(out.predicted.cells(), ref.predicted.cells());
+      EXPECT_EQ(out.classified_soft.cells(), ref.classified_soft.cells());
+      EXPECT_EQ(out.truth_before.cells(), ref.truth_before.cells());
     }
   }
 }

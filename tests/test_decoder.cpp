@@ -3,42 +3,47 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
+
 namespace refit {
 namespace {
 
-/// Build a DecodeInput for a small grid where every cell is a candidate and
-/// segments follow a simple row-group / col-group layout.
+/// Build a DecodeInput for a small grid where every cell outside
+/// `non_candidates` is a candidate and segments follow a simple row-group /
+/// col-group layout (non-candidates are left out of their segments, as
+/// the detector does).
 DecodeInput grid_input(std::size_t rows, std::size_t cols,
                        std::size_t group_rows, std::size_t group_cols,
                        const std::vector<std::size_t>& faulty_cells,
-                       std::size_t divisor = 16) {
+                       std::size_t divisor = 16,
+                       const std::vector<std::size_t>& non_candidates = {}) {
   DecodeInput in;
   in.rows = rows;
   in.cols = cols;
   in.divisor = divisor;
-  in.candidate.assign(rows * cols, true);
+  in.candidate.assign(rows * cols, 1);
+  for (auto nc : non_candidates) in.candidate[nc] = 0;
   std::vector<bool> faulty(rows * cols, false);
   for (auto f : faulty_cells) faulty[f] = true;
+  auto add = [&](SegmentList& segs, std::size_t cell, std::size_t& count) {
+    if (in.candidate[cell] == 0) return;
+    segs.cells.push_back(cell);
+    count += faulty[cell];
+  };
   for (std::size_t r0 = 0; r0 < rows; r0 += group_rows) {
     for (std::size_t c = 0; c < cols; ++c) {
-      Segment s;
-      for (std::size_t r = r0; r < std::min(rows, r0 + group_rows); ++r)
-        s.cells.push_back(r * cols + c);
       std::size_t count = 0;
-      for (auto cell : s.cells) count += faulty[cell];
-      s.residue = count % divisor;
-      in.row_segments.push_back(std::move(s));
+      for (std::size_t r = r0; r < std::min(rows, r0 + group_rows); ++r)
+        add(in.row_segments, r * cols + c, count);
+      in.row_segments.close(count % divisor);
     }
   }
   for (std::size_t c0 = 0; c0 < cols; c0 += group_cols) {
     for (std::size_t r = 0; r < rows; ++r) {
-      Segment s;
-      for (std::size_t c = c0; c < std::min(cols, c0 + group_cols); ++c)
-        s.cells.push_back(r * cols + c);
       std::size_t count = 0;
-      for (auto cell : s.cells) count += faulty[cell];
-      s.residue = count % divisor;
-      in.col_segments.push_back(std::move(s));
+      for (std::size_t c = c0; c < std::min(cols, c0 + group_cols); ++c)
+        add(in.col_segments, r * cols + c, count);
+      in.col_segments.close(count % divisor);
     }
   }
   return in;
@@ -86,31 +91,9 @@ TEST(Decoder, ZeroResidueClearsCells) {
 }
 
 TEST(Decoder, NonCandidatesNeverFlagged) {
-  DecodeInput in = grid_input(2, 2, 2, 2, {0, 1, 2, 3});
-  in.candidate[3] = false;
-  // Recompute residues pretending cell 3 is healthy (it cannot be tested).
-  for (auto& s : in.row_segments) {
-    std::size_t count = 0;
-    std::vector<std::size_t> kept;
-    for (auto cell : s.cells)
-      if (in.candidate[cell]) {
-        kept.push_back(cell);
-        count += 1;  // cells 0..2 faulty
-      }
-    s.cells = kept;
-    s.residue = count % in.divisor;
-  }
-  for (auto& s : in.col_segments) {
-    std::size_t count = 0;
-    std::vector<std::size_t> kept;
-    for (auto cell : s.cells)
-      if (in.candidate[cell]) {
-        kept.push_back(cell);
-        count += 1;
-      }
-    s.cells = kept;
-    s.residue = count % in.divisor;
-  }
+  // Cell 3 cannot be tested: it is left out of its segments, so their
+  // residues count only the faulty candidates 0..2.
+  const DecodeInput in = grid_input(2, 2, 2, 2, {0, 1, 2, 3}, 16, {3});
   const auto pred = decode_segments(in);
   EXPECT_FALSE(pred[3]);
   EXPECT_TRUE(pred[0]);
@@ -168,11 +151,10 @@ TEST(Decoder, CellCoveredByOneDirectionUsesThatVerdict) {
   in.rows = 1;
   in.cols = 2;
   in.divisor = 16;
-  in.candidate = {true, true};
-  Segment s;  // only a row segment covering both cells, residue 1
-  s.cells = {0, 1};
-  s.residue = 1;
-  in.row_segments.push_back(s);
+  in.candidate = {1, 1};
+  // Only a row segment covering both cells, residue 1.
+  in.row_segments.cells = {0, 1};
+  in.row_segments.close(1);
   in.use_constraint_propagation = false;
   const auto pred = decode_segments(in);
   EXPECT_TRUE(pred[0]);
@@ -184,6 +166,15 @@ TEST(Decoder, RejectsBadInput) {
   in.rows = 0;
   in.cols = 4;
   EXPECT_THROW(decode_segments(in), CheckError);
+  // Cells appended but never closed into a segment.
+  DecodeInput open = grid_input(2, 2, 2, 2, {0});
+  open.row_segments.cells.push_back(1);
+  EXPECT_THROW(decode_segments(open), CheckError);
+  // A cell index outside the crossbar.
+  DecodeInput oob = grid_input(2, 2, 2, 2, {0});
+  oob.col_segments.cells.push_back(4);
+  oob.col_segments.close(1);
+  EXPECT_THROW(decode_segments(oob), CheckError);
 }
 
 }  // namespace

@@ -188,6 +188,157 @@ TEST(Detector, DetectStoreAssemblesTiles) {
   EXPECT_GT(cc.recall(), 0.9);
 }
 
+TEST(Detector, EvaluateClassifiedRejectsIncompleteOutcome) {
+  // evaluate_classified walks all three maps cell by cell: a truth snapshot
+  // without a classified_soft map of the same shape must be refused, not
+  // read out of bounds.
+  DetectionOutcome out;
+  out.predicted = FaultMatrix(4, 5);
+  out.truth_before = FaultMatrix(4, 5);
+  EXPECT_THROW(evaluate_classified(out), CheckError);
+  out.classified_soft = FaultMatrix(5, 4);
+  EXPECT_THROW(evaluate_classified(out), CheckError);
+  out.classified_soft = FaultMatrix(4, 5);
+  out.truth_before = FaultMatrix();
+  EXPECT_THROW(evaluate_classified(out), CheckError);
+  out.truth_before = FaultMatrix(4, 5);
+  out.truth_before.set(1, 2, FaultKind::kSoftStuck0);
+  out.predicted.set(1, 2, FaultKind::kStuckAt0);
+  out.classified_soft.set(1, 2, FaultKind::kSoftStuck0);
+  const ClassifiedConfusion cc = evaluate_classified(out);
+  EXPECT_EQ(cc.soft.tp, 1u);
+  EXPECT_EQ(cc.hard.tn, 20u);
+}
+
+// ---- Pinned outcomes -------------------------------------------------------
+//
+// FNV-1a over everything detect() produces or touches: the verdicts, the
+// counters and each cell's conductance bits and write count afterwards
+// (the latter pin the pulse order and every write-noise RNG draw). The
+// expected values were recorded from the original nested-vector pass;
+// any rewrite of the pass must reproduce them bit for bit.
+
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  template <typename T>
+  void pod(const T& v) {
+    bytes(&v, sizeof(v));
+  }
+  void faults(const FaultMatrix& m) {
+    bytes(m.cells().data(), m.cells().size());
+  }
+  void outcome(const DetectionOutcome& out) {
+    faults(out.predicted);
+    faults(out.classified_soft);
+    faults(out.truth_before);
+    pod(static_cast<std::uint64_t>(out.cycles));
+    pod(static_cast<std::uint64_t>(out.cells_tested));
+    pod(out.device_writes);
+    pod(out.adc_reads);
+    pod(static_cast<std::uint64_t>(out.cells_retested));
+  }
+};
+
+std::uint64_t pinned_outcome_hash(const DetectorConfig& dcfg,
+                                  double wire_ratio) {
+  CrossbarConfig cfg;
+  cfg.rows = 48;
+  cfg.cols = 40;
+  cfg.levels = 8;
+  cfg.write_noise_sigma = 0.02;
+  cfg.wire_resistance_ratio = wire_ratio;
+  Crossbar xb(cfg, EnduranceModel::unlimited(), Rng(101));
+  Rng rng(102);
+  prepare(xb, 0.08, rng);
+  inject_soft_faults(xb, 0.02, 5, 0.5, rng);
+  const DetectionOutcome out = QuiescentVoltageDetector(dcfg).detect(xb);
+  Fnv f;
+  f.outcome(out);
+  for (std::size_t r = 0; r < xb.rows(); ++r) {
+    for (std::size_t c = 0; c < xb.cols(); ++c) {
+      f.pod(xb.conductance(r, c));
+      f.pod(xb.write_count(r, c));
+    }
+  }
+  return f.h;
+}
+
+TEST(DetectorPinned, OutcomesMatchReferencePass) {
+  struct Case {
+    const char* name;
+    DetectorConfig cfg;
+    double wire_ratio;
+    std::uint64_t expected;
+  };
+  const auto with = [](auto edit) {
+    DetectorConfig cfg = small_config(8);
+    edit(cfg);
+    return cfg;
+  };
+  const Case cases[] = {
+      {"selected", small_config(8), 0.0, 0x6f93ae971f6f2433ULL},
+      {"all-cells",
+       with([](DetectorConfig& c) { c.selected_cells_only = false; }), 0.0,
+       0x4bef81e8fae7c5baULL},
+      {"classify-soft", with([](DetectorConfig& c) { c.classify_soft = true; }),
+       0.0, 0x8f434fb3ab2cd2abULL},
+      {"wire-resistance", small_config(8), 0.004, 0xf7f58441acd999efULL},
+      {"tr-ne-tc", with([](DetectorConfig& c) { c.test_cols_per_cycle = 5; }),
+       0.0, 0x0e5dbf08b9b23722ULL},
+      {"divisor-8", with([](DetectorConfig& c) {
+         c.test_rows_per_cycle = 16;
+         c.selected_cells_only = false;
+         c.modulo_divisor = 8;
+       }),
+       0.0, 0x063b66581a6796daULL},
+      {"no-propagation",
+       with([](DetectorConfig& c) { c.use_constraint_propagation = false; }),
+       0.0, 0x1beca0e724ef0517ULL},
+  };
+  for (const Case& k : cases) {
+    const std::uint64_t got = pinned_outcome_hash(k.cfg, k.wire_ratio);
+    EXPECT_EQ(got, k.expected) << k.name << ": 0x" << std::hex << got;
+  }
+}
+
+TEST(DetectorPinned, StoreOutcomeMatchesReferenceMerge) {
+  // detect_store's per-tile merge (leg precedence, truth snapshot, soft
+  // classification) on a differential store with ragged edge tiles.
+  RcsConfig cfg;
+  cfg.tile_rows = 16;
+  cfg.tile_cols = 16;
+  cfg.levels = 8;
+  cfg.encoding = EncodingKind::kDifferentialPair;
+  cfg.inject_fabrication = true;
+  cfg.fabrication.fraction = 0.06;
+  Rng wrng(31);
+  CrossbarWeightStore store(cfg, Tensor::randn({40, 36}, wrng, 0.05f),
+                            Rng(32));
+  Rng soft_rng(33);
+  for (std::size_t ti = 0; ti < store.tile_grid_rows(); ++ti) {
+    for (std::size_t tj = 0; tj < store.tile_grid_cols(); ++tj) {
+      inject_soft_faults(store.tile(ti, tj), 0.02, 5, 0.5, soft_rng);
+      inject_soft_faults(store.tile_n(ti, tj), 0.02, 5, 0.5, soft_rng);
+    }
+  }
+  store.invalidate();
+  DetectorConfig dcfg = small_config(8);
+  dcfg.classify_soft = true;
+  const DetectionOutcome out =
+      QuiescentVoltageDetector(dcfg).detect_store(store);
+  Fnv f;
+  f.outcome(out);
+  EXPECT_GT(out.classified_soft.count_faulty(), 0u);
+  EXPECT_EQ(f.h, 0x58eec8428ef1d18fULL) << "0x" << std::hex << f.h;
+}
+
 TEST(RandomizeContent, FractionsRespected) {
   Rng rng(17);
   Crossbar xb = make_xbar(64, 18);

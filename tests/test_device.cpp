@@ -14,6 +14,7 @@
 #include "common/thread_pool.hpp"
 #include "detect/quiescent_detector.hpp"
 #include "device/noise_model.hpp"
+#include "inline_call_probe.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "rram/faults.hpp"
 #include "tensor/ops.hpp"
@@ -413,7 +414,14 @@ TEST(DeviceDetector, StoreClassificationIsThreadCountInvariant) {
       }
     }
     store.invalidate();
-    return det.detect_store(store);
+    // Nine 16x16 tiles: the detection grain must fan them out.
+    const InlineCallProbe probe;
+    DetectionOutcome out = det.detect_store(store);
+    if (threads > 1 && probe.available()) {
+      EXPECT_GE(probe.calls(), 1u);
+      EXPECT_EQ(probe.inline_calls(), 0u) << "detect_store ran inline";
+    }
+    return out;
   };
 
   const DetectionOutcome serial = run(1);
@@ -421,6 +429,10 @@ TEST(DeviceDetector, StoreClassificationIsThreadCountInvariant) {
   ASSERT_EQ(serial.predicted.cells(), pooled.predicted.cells());
   ASSERT_EQ(serial.classified_soft.cells(), pooled.classified_soft.cells());
   ASSERT_EQ(serial.truth_before.cells(), pooled.truth_before.cells());
+  EXPECT_EQ(serial.cycles, pooled.cycles);
+  EXPECT_EQ(serial.cells_tested, pooled.cells_tested);
+  EXPECT_EQ(serial.device_writes, pooled.device_writes);
+  EXPECT_EQ(serial.adc_reads, pooled.adc_reads);
   EXPECT_EQ(serial.cells_retested, pooled.cells_retested);
 
   // Classification quality on the pre-detection truth: every still-pinned
@@ -431,6 +443,79 @@ TEST(DeviceDetector, StoreClassificationIsThreadCountInvariant) {
   EXPECT_GE(cc.hard.recall(), 0.8);
   EXPECT_GE(cc.soft.recall(), 0.8);
   EXPECT_GE(cc.hard.precision(), 0.8);
+}
+
+TEST(DeviceDetector, ChipScanGeometryIsThreadCountInvariant) {
+  // The fleet scan's shape: a 256x256 differential store of 128x128 tiles,
+  // one device tick, then a classifying detection. Both the tick and the
+  // detection must fan out over the pool and leave every cell's state —
+  // conductance and wear — exactly as the one-lane run does.
+  PoolGuard guard;
+  RcsConfig cfg;
+  cfg.encoding = EncodingKind::kDifferentialPair;
+  cfg.inject_fabrication = true;
+  cfg.fabrication.fraction = 0.05;
+  cfg.noise.drift_rate = 0.005;
+  cfg.noise.soft_fault_rate = 0.003;
+  cfg.noise.soft_fault_ttl = 3;
+  ASSERT_EQ(cfg.tile_rows, 128u);
+  ASSERT_EQ(cfg.tile_cols, 128u);
+  Rng wrng(41);
+  const Tensor init = Tensor::randn({256, 256}, wrng, 0.05f);
+  DetectorConfig dcfg;  // the scan's detector: defaults plus classification
+  dcfg.classify_soft = true;
+  const QuiescentVoltageDetector det(dcfg);
+
+  struct Run {
+    DetectionOutcome out;
+    std::vector<double> g;
+    std::vector<std::uint64_t> writes;
+  };
+  auto run = [&](std::size_t threads) {
+    ThreadPool::set_global_threads(threads);
+    CrossbarWeightStore store(cfg, init, Rng(42));
+    Run res;
+    {
+      const InlineCallProbe probe;
+      store.tick_noise();
+      res.out = det.detect_store(store);
+      if (threads > 1 && probe.available()) {
+        EXPECT_GE(probe.calls(), 2u);
+        EXPECT_EQ(probe.inline_calls(), 0u) << "tick or detection ran inline";
+      }
+    }
+    for (std::size_t ti = 0; ti < store.tile_grid_rows(); ++ti) {
+      for (std::size_t tj = 0; tj < store.tile_grid_cols(); ++tj) {
+        for (const Crossbar* xb :
+             {&store.tile(ti, tj), &store.tile_n(ti, tj)}) {
+          for (std::size_t r = 0; r < xb->rows(); ++r) {
+            for (std::size_t c = 0; c < xb->cols(); ++c) {
+              res.g.push_back(xb->conductance(r, c));
+              res.writes.push_back(xb->write_count(r, c));
+            }
+          }
+        }
+      }
+    }
+    return res;
+  };
+
+  const Run serial = run(1);
+  const Run pooled = run(4);
+  EXPECT_GT(serial.out.classified_soft.count_faulty(), 0u);
+  EXPECT_EQ(serial.out.predicted.cells(), pooled.out.predicted.cells());
+  EXPECT_EQ(serial.out.classified_soft.cells(),
+            pooled.out.classified_soft.cells());
+  EXPECT_EQ(serial.out.truth_before.cells(), pooled.out.truth_before.cells());
+  EXPECT_EQ(serial.out.cycles, pooled.out.cycles);
+  EXPECT_EQ(serial.out.cells_tested, pooled.out.cells_tested);
+  EXPECT_EQ(serial.out.device_writes, pooled.out.device_writes);
+  EXPECT_EQ(serial.out.adc_reads, pooled.out.adc_reads);
+  EXPECT_EQ(serial.out.cells_retested, pooled.out.cells_retested);
+  ASSERT_EQ(serial.g.size(), pooled.g.size());
+  EXPECT_EQ(0, std::memcmp(serial.g.data(), pooled.g.data(),
+                           serial.g.size() * sizeof(double)));
+  EXPECT_EQ(serial.writes, pooled.writes);
 }
 
 }  // namespace
