@@ -1,6 +1,6 @@
 // MICRO — google-benchmark micro-benchmarks for the simulator's hot
-// kernels: GEMM, im2col, crossbar programming, effective-weight rebuild,
-// the quiescent-voltage detection pass, and the re-mapping solvers.
+// kernels: GEMM, im2col, crossbar programming, the quiescent-voltage
+// detection pass, and the re-mapping solvers.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -49,22 +49,6 @@ void BM_CrossbarWrite(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CrossbarWrite);
-
-void BM_EffectiveRebuild(benchmark::State& state) {
-  RcsConfig cfg;
-  cfg.tile_rows = cfg.tile_cols = 128;
-  cfg.inject_fabrication = false;
-  Rng wrng(4);
-  CrossbarWeightStore store(cfg, Tensor::randn({256, 128}, wrng, 0.05f),
-                            Rng(5));
-  for (auto _ : state) {
-    store.invalidate();
-    benchmark::DoNotOptimize(store.effective());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          256 * 128);
-}
-BENCHMARK(BM_EffectiveRebuild);
 
 void BM_DetectionPass(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

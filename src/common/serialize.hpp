@@ -45,6 +45,20 @@ template <typename T>
 std::vector<T> read_vec(std::istream& is) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto n = read_pod<std::uint64_t>(is);
+  // Bound n by the bytes the stream still holds, before allocating: a
+  // corrupt length must throw here rather than overflow n·sizeof(T) or ask
+  // for more memory than the stream can fill.
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  REFIT_CHECK_MSG(here != std::streampos(-1) && end != std::streampos(-1) &&
+                      is.good(),
+                  "serialization read needs a seekable stream");
+  const auto left = static_cast<std::uint64_t>(end - here);
+  REFIT_CHECK_MSG(n <= left / sizeof(T),
+                  "serialized length " << n << " exceeds the " << left
+                                       << " bytes left in the stream");
   std::vector<T> v(n);
   if (n > 0) {
     is.read(reinterpret_cast<char*>(v.data()),

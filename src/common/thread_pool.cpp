@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "common/check.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -37,9 +38,7 @@ struct InsidePoolGuard {
 
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("REFIT_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
+    return parse_thread_count(env);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -53,6 +52,22 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t n,
 }
 
 }  // namespace
+
+std::size_t parse_thread_count(const char* text) {
+  REFIT_CHECK_MSG(text != nullptr && *text != '\0', "REFIT_THREADS is empty");
+  std::size_t v = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    REFIT_CHECK_MSG(*p >= '0' && *p <= '9',
+                    "REFIT_THREADS must be a whole decimal number, got '"
+                        << text << "'");
+    // Checked per digit, so the accumulator can never overflow.
+    v = v * 10 + static_cast<std::size_t>(*p - '0');
+    REFIT_CHECK_MSG(v <= kMaxThreads,
+                    "REFIT_THREADS exceeds " << kMaxThreads << ": " << text);
+  }
+  REFIT_CHECK_MSG(v >= 1, "REFIT_THREADS must be at least 1, got " << text);
+  return v;
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t lanes = std::max<std::size_t>(1, threads);

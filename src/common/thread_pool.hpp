@@ -72,6 +72,14 @@ class ThreadPool {
   std::exception_ptr job_error_;
 };
 
+/// Largest lane count REFIT_THREADS may ask for.
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/// Parse a REFIT_THREADS value: a whole decimal number in [1, kMaxThreads]
+/// and nothing else (no sign, space or suffix). Throws CheckError on any
+/// other text, so a typo cannot silently ask for millions of threads.
+std::size_t parse_thread_count(const char* text);
+
 /// parallel_for on the global pool — the call sites' spelling.
 inline void parallel_for(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {

@@ -14,7 +14,7 @@ namespace refit {
 namespace {
 
 /// Per-cell cost of detect() relative to the one-op-per-cell visitors
-/// (rebuild, pack) that TileGrid's default grain assumes: two passes of
+/// (panel pack, programming) that TileGrid's default grain assumes: two passes of
 /// RNG-driven pulse writes, per-segment analog sums and decoding. Sized so
 /// a store of a few full tiles fans out across the pool.
 constexpr std::size_t kDetectWorkPerCell = 64;

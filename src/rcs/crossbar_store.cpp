@@ -93,7 +93,6 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
   }
 
   map_ = LogicalMapping(r, c);
-  tile_dirty_.assign(tiles_.size(), 1);
   pack_dirty_.assign(tiles_.size(), 1);
   pack_nonfinite_.assign(tiles_.size(), 0);
   any_pack_dirty_ = true;
@@ -182,20 +181,23 @@ void CrossbarWeightStore::write_logical(std::size_t i, std::size_t j) {
   writes_agg_ += w1 - w0;
   faults_agg_ += f1 - f0;
   wearout_agg_ += wo1 - wo0;
-  tile_dirty_[tc.tile] = 1;
-  any_dirty_ = true;
   pack_dirty_[tc.tile] = 1;
   any_pack_dirty_ = true;
 }
 
 const Tensor& CrossbarWeightStore::effective() {
-  if (any_dirty_) rebuild_effective();
-  return effective_;
+  refresh_packed_effective();
+  const std::size_t k = rows(), n = cols();
+  if (readout_.shape() != target_.shape()) readout_ = Tensor({k, n});
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      readout_.at(i, j) = packed_eff_[gemm::packed_index(k, i, j)];
+    }
+  }
+  return readout_;
 }
 
 void CrossbarWeightStore::mark_all_dirty() {
-  std::fill(tile_dirty_.begin(), tile_dirty_.end(), 1);
-  any_dirty_ = true;
   std::fill(pack_dirty_.begin(), pack_dirty_.end(), 1);
   any_pack_dirty_ = true;
 }
@@ -246,51 +248,18 @@ void CrossbarWeightStore::tick_noise() {
   invalidate();
 }
 
-void CrossbarWeightStore::rebuild_tile(const TileSpan& span) {
-  const Crossbar& xb = *tiles_[span.index];
-  const Crossbar* xn =
-      tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
+float CrossbarWeightStore::read_cell(const Crossbar& xb, const Crossbar* xn,
+                                     std::size_t lr, std::size_t lc,
+                                     float sign_hint) const {
+  // The compute path is analog: each leg's contribution includes its
+  // IR-drop attenuation (identity when the model is disabled). The decode
+  // undoes the encoding — single-cell reapplies the peripheral sign
+  // register (SA1 cells saturate at ±weight_max, SA0 read as 0);
+  // differential subtracts the legs.
   double g[kMaxEncodingLegs] = {0.0, 0.0};
-  for (std::size_t lr = 0; lr < span.rows; ++lr) {
-    const std::size_t i = map_.logical_row(span.row0 + lr);
-    for (std::size_t lc = 0; lc < span.cols; ++lc) {
-      const std::size_t j = map_.logical_col(span.col0 + lc);
-      // The compute path is analog: each leg's contribution includes its
-      // IR-drop attenuation (identity when the model is disabled). The
-      // decode undoes the encoding — single-cell reapplies the peripheral
-      // sign register (SA1 cells saturate at ±weight_max, SA0 read as 0);
-      // differential subtracts the legs.
-      g[0] = xb.effective_conductance(lr, lc);
-      if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
-      effective_.at(i, j) = enc_->decode(g, target_.at(i, j), weight_max_);
-    }
-  }
-}
-
-void CrossbarWeightStore::rebuild_effective() {
-  if (effective_.shape() != target_.shape()) {
-    effective_ = Tensor({rows(), cols()});
-    mark_all_dirty();
-  }
-  // Incremental: only the tiles that received writes since the last rebuild
-  // are re-read; every physical cell maps to a unique logical entry, so the
-  // dirty tiles write disjoint parts of effective_ — one pool lane each.
-  std::vector<std::size_t> dirty;
-  dirty.reserve(tiles_.size());
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    if (tile_dirty_[t] != 0) dirty.push_back(t);
-  }
-  static obs::Counter rebuilds_metric =
-      obs::MetricsRegistry::instance().counter("store.rebuilds", "rebuilds");
-  static obs::Counter rebuild_tiles_metric =
-      obs::MetricsRegistry::instance().counter("store.rebuild_tiles", "tiles");
-  rebuilds_metric.add();
-  rebuild_tiles_metric.add(dirty.size());
-  grid_.for_each_tile(dirty, [&](const TileSpan& span) {
-    rebuild_tile(span);
-    tile_dirty_[span.index] = 0;
-  });
-  any_dirty_ = false;
+  g[0] = xb.effective_conductance(lr, lc);
+  if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
+  return enc_->decode(g, sign_hint, weight_max_);
 }
 
 bool CrossbarWeightStore::pack_tile(const TileSpan& span) {
@@ -298,18 +267,15 @@ bool CrossbarWeightStore::pack_tile(const TileSpan& span) {
   const Crossbar* xn =
       tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
   const std::size_t k = rows();
-  double g[kMaxEncodingLegs] = {0.0, 0.0};
   bool finite = true;
   for (std::size_t lr = 0; lr < span.rows; ++lr) {
     const std::size_t i = map_.logical_row(span.row0 + lr);
     for (std::size_t lc = 0; lc < span.cols; ++lc) {
       const std::size_t j = map_.logical_col(span.col0 + lc);
-      // Exactly rebuild_tile's read-out expression, scattered into the
-      // panel slot pack_b would have put W_eff(i, j) in — the fused path
-      // and materialize-then-matmul feed the micro-kernel identical bits.
-      g[0] = xb.effective_conductance(lr, lc);
-      if (xn != nullptr) g[1] = xn->effective_conductance(lr, lc);
-      const float w = enc_->decode(g, target_.at(i, j), weight_max_);
+      // Scattered into the panel slot pack_b would have put W_eff(i, j) in,
+      // so the fused path and matmul(x, effective()) feed the micro-kernel
+      // identical bits.
+      const float w = read_cell(xb, xn, lr, lc, target_.at(i, j));
       packed_eff_[gemm::packed_index(k, i, j)] = w;
       finite &= std::isfinite(w);
     }
@@ -472,27 +438,25 @@ void CrossbarWeightStore::pulse_physical(std::size_t r, std::size_t c,
   writes_agg_ += xb.total_writes() - w0;
   faults_agg_ += xb.fault_count() - f0;
   wearout_agg_ += xb.wearout_fault_count() - wo0;
-  tile_dirty_[tc.tile] = 1;
-  any_dirty_ = true;
   pack_dirty_[tc.tile] = 1;
   any_pack_dirty_ = true;
-}
-
-void CrossbarWeightStore::sync_target_from_device() {
-  if (any_dirty_) rebuild_effective();
-  target_ = effective_;
 }
 
 void CrossbarWeightStore::sync_targets_where(
     const FaultMatrix& physical_faults) {
   REFIT_CHECK(physical_faults.rows() == rows() &&
               physical_faults.cols() == cols());
-  if (any_dirty_) rebuild_effective();
   for (std::size_t i = 0; i < rows(); ++i) {
+    const std::size_t pr = map_.physical_row(i);
     for (std::size_t j = 0; j < cols(); ++j) {
-      if (physical_faults.faulty(map_.physical_row(i), map_.physical_col(j))) {
-        target_.at(i, j) = effective_.at(i, j);
-      }
+      const std::size_t pc = map_.physical_col(j);
+      if (!physical_faults.faulty(pr, pc)) continue;
+      const TileGrid::Coord tc = grid_.locate(pr, pc);
+      const Crossbar* xn =
+          tiles_n_.empty() ? nullptr : tiles_n_[tc.tile].get();
+      // The old target is the sign hint the cell was programmed from.
+      target_.at(i, j) =
+          read_cell(*tiles_[tc.tile], xn, tc.lr, tc.lc, target_.at(i, j));
     }
   }
 }
@@ -508,7 +472,7 @@ void CrossbarWeightStore::set_permutations(std::vector<std::size_t> row_perm,
   // programmed conductance — no endurance is spent on them.) Bijectivity
   // means every physical cell with a new occupant is rewritten here, so the
   // per-tile dirty marks from write_logical cover exactly the tiles whose
-  // effective entries can have changed — no blanket invalidation needed.
+  // packed entries can have changed — no blanket invalidation needed.
   std::uint64_t rewritten = 0;
   for (std::size_t i = 0; i < r; ++i) {
     const bool row_moved = old_rows[i] != map_.physical_row(i);
@@ -587,9 +551,6 @@ void CrossbarWeightStore::read_from(std::istream& is) {
   }
   noise_rng_.set_state(ser::read_pod<Rng::State>(is));
   noise_ticks_ = ser::read_pod<std::uint64_t>(is);
-  tile_dirty_.assign(tiles_.size(), 1);
-  any_dirty_ = true;
-  effective_ = Tensor();
   packed_eff_.clear();
   pack_dirty_.assign(tiles_.size(), 1);
   pack_nonfinite_.assign(tiles_.size(), 0);

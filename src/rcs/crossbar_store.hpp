@@ -75,11 +75,13 @@ class CrossbarWeightStore final : public WeightStore {
 
   // ---- WeightStore interface -------------------------------------------
   [[nodiscard]] const Shape& shape() const override { return target_.shape(); }
+  /// The chip's effective weights, unpacked from the packed panel cache
+  /// (their only copy) on every call; the training flow never calls it.
   [[nodiscard]] const Tensor& effective() override;
   [[nodiscard]] const Tensor& target() const override { return target_; }
   /// Fused faulty forward: y = x · W_eff computed straight from crossbar
-  /// conductances, sign registers, and the logical mapping — no effective_
-  /// materialization. Dirty tiles repack their cells into the GEMM panel
+  /// conductances, sign registers, and the logical mapping through the
+  /// packed panel cache. Dirty tiles repack their cells into the GEMM panel
   /// layout (tile-parallel, disjoint scatter); the multiply then runs the
   /// same deterministic micro-kernel as matmul(x, effective()), so the
   /// result is bit-identical to it at any thread count and permutation.
@@ -167,7 +169,7 @@ class CrossbarWeightStore final : public WeightStore {
     return cell_count() * legs();
   }
 
-  /// Mark the cached effective weights stale and resync the aggregate
+  /// Mark the packed panel cache stale and resync the aggregate
   /// counters (call after any direct tile manipulation, e.g. a detection
   /// pass or fault injection through tile()).
   void invalidate() {
@@ -175,19 +177,15 @@ class CrossbarWeightStore final : public WeightStore {
     resync_counters();
   }
 
-  /// Overwrite the off-chip target copy with the device's actual effective
-  /// weights (the "read RRAM values, store off-chip" step of the paper's
-  /// Fig. 3). Pure read — costs no device writes. After this call the
-  /// target of an SA0-hosted weight is exactly 0, so magnitude pruning
-  /// becomes fault-aware automatically.
-  void sync_target_from_device();
-
-  /// Targeted variant: re-read only the logical weights currently hosted on
-  /// cells flagged in `physical_faults`. Healthy weights keep their full-
-  /// precision off-chip accumulation; fault-hosted weights collapse to what
-  /// the device actually computes (0 for SA0, ±weight_max for SA1), so a
-  /// later re-mapping relocates real values instead of stale garbage and
-  /// magnitude pruning naturally reuses SA0 cells as zeros.
+  /// The "read RRAM values, store off-chip" step of the paper's Fig. 3,
+  /// for the logical weights currently hosted on cells flagged in
+  /// `physical_faults`. Pure read — costs no device writes. Healthy
+  /// weights keep their full-precision off-chip accumulation; fault-hosted
+  /// weights collapse to what the device actually computes (0 for SA0,
+  /// ±weight_max for SA1), so a later re-mapping relocates real values
+  /// instead of stale garbage and magnitude pruning naturally reuses SA0
+  /// cells as zeros. Decodes the flagged cells straight from the tiles and
+  /// leaves the packed panel cache as it is.
   void sync_targets_where(const FaultMatrix& physical_faults);
 
   /// Issue a raw ±one-level pulse to a physical cell on `leg` (detection
@@ -199,7 +197,7 @@ class CrossbarWeightStore final : public WeightStore {
   /// drift, and new transient faults may strike (device/noise_model.hpp).
   /// No-op unless cfg().noise.active(). Tile-parallel with per-tile RNG
   /// streams salted by (tick, tile, leg) — deterministic at any thread
-  /// count. Marks the effective cache stale.
+  /// count. Marks the packed panel cache stale.
   void tick_noise();
   /// Device-time ticks issued so far (serialized with the store).
   [[nodiscard]] std::uint64_t noise_ticks() const { return noise_ticks_; }
@@ -222,18 +220,20 @@ class CrossbarWeightStore final : public WeightStore {
   void read_from(std::istream& is);
   /// Program the physical cell hosting logical (i, j) from target_.
   void write_logical(std::size_t i, std::size_t j);
-  /// Rebuild only the tiles whose cells changed since the last rebuild,
-  /// fanning the per-tile work across the global thread pool.
-  void rebuild_effective();
-  /// Recompute the effective entries of every logical cell hosted on the
-  /// tile covering `span`.
-  void rebuild_tile(const TileSpan& span);
-  /// Re-read the tile covering `span` into the packed GEMM panels (the
-  /// fused-forward analogue of rebuild_tile). Returns whether every value
-  /// it packed is finite.
+  /// The store's one read-out expression: the weight the analog compute
+  /// path sees on cell (lr, lc) of a tile (`xn` is its G_n twin, null for
+  /// single-leg encodings), decoded against `sign_hint`, the target the
+  /// cell was last programmed from. Each leg's contribution includes its
+  /// IR-drop attenuation.
+  [[nodiscard]] float read_cell(const Crossbar& xb, const Crossbar* xn,
+                                std::size_t lr, std::size_t lc,
+                                float sign_hint) const;
+  /// Re-read the tile covering `span` into the packed GEMM panels. Returns
+  /// whether every value it packed is finite.
   bool pack_tile(const TileSpan& span);
   /// Bring packed_eff_ up to date, repacking only dirty tiles.
   void refresh_packed_effective();
+  /// Mark every tile's panel stale.
   void mark_all_dirty();
   /// Re-derive the aggregate write/fault counters from the tiles' own
   /// running totals (O(#tiles), used after out-of-band tile mutation).
@@ -244,7 +244,6 @@ class CrossbarWeightStore final : public WeightStore {
   /// the ctor and in read_from(), never null afterwards.
   const CellEncoding* enc_ = nullptr;
   Tensor target_;
-  Tensor effective_;
   double weight_max_ = 1.0;
   TileGrid grid_;
   LogicalMapping map_;
@@ -254,18 +253,16 @@ class CrossbarWeightStore final : public WeightStore {
   /// Device-time noise state (tick_noise); serialized for bit-exact resume.
   Rng noise_rng_{0};
   std::uint64_t noise_ticks_ = 0;
-  /// Per-tile staleness of effective_ (uint8_t, not vector<bool>: lanes
-  /// clear flags for distinct tiles without sharing a word). any_dirty_
-  /// short-circuits effective() on the hottest path.
-  std::vector<std::uint8_t> tile_dirty_;
-  bool any_dirty_ = true;
-  /// Fused-forward cache: the effective weights in the packed panel layout
-  /// of tensor/gemm.hpp, with its own staleness flags (effective_ and the
-  /// panels are consumed by different paths, so each invalidates
-  /// independently and neither pays for the other's rebuild).
+  /// The store's only copy of the effective weights, in the packed panel
+  /// layout of tensor/gemm.hpp. Per-tile staleness flags (uint8_t, not
+  /// vector<bool>: lanes clear flags for distinct tiles without sharing a
+  /// word); any_pack_dirty_ short-circuits the clean forward.
   std::vector<float> packed_eff_;
   std::vector<std::uint8_t> pack_dirty_;
   bool any_pack_dirty_ = true;
+  /// effective()'s read-out buffer: a plain unpack of packed_eff_,
+  /// overwritten on every call (no staleness state of its own).
+  Tensor readout_;
   /// Per tile: its last pack held Inf/NaN. packed_finite_ folds them into
   /// gemm::run's bp_finite (finite panels skip zeros without a branch).
   std::vector<std::uint8_t> pack_nonfinite_;

@@ -4,7 +4,7 @@
 // Logical weight (i, j) lives at physical cell
 // (row_perm[i], col_perm[j]); the inverse permutations answer "whose
 // weight is stored here?" for components that walk physical space (the
-// effective-weight rebuild, targeted re-sync, the detector's
+// packed-panel repack, targeted re-sync, the detector's
 // FaultMatrix consumers). The re-mapping engine computes new
 // permutations against this class and the store installs them — the
 // mapping itself never touches device state.

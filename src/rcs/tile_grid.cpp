@@ -44,7 +44,7 @@ void TileGrid::for_each_tile(const TileVisitor& visit,
                              std::size_t work_per_cell) const {
   // Grained on the full-tile cell count times the visitor's per-cell cost:
   // one- or two-tile visits of a cheap visitor (the sub-millisecond
-  // incremental rebuilds) run inline on the caller instead of paying the
+  // incremental repacks) run inline on the caller instead of paying the
   // pool handshake.
   parallel_for_grained(tile_count(), tile_rows_ * tile_cols_ * work_per_cell,
                        [&](std::size_t t0, std::size_t t1) {

@@ -1,7 +1,7 @@
 // TileGrid — the tile partitioning of a 2-D matrix onto fixed-size
 // crossbar tiles (edge tiles shrink to fit), shared by every component
-// that walks the tiles of a store: the effective-weight rebuild, the
-// on-line detector, and the re-mapping engine's write-back.
+// that walks the tiles of a store: the packed-panel repack, the on-line
+// detector, and the re-mapping engine's write-back.
 //
 // The grid is pure geometry: it knows where each tile sits inside the
 // matrix, not what the tile contains. Its one compute primitive,
@@ -71,7 +71,7 @@ class TileGrid {
                      std::size_t work_per_cell = 1) const;
 
   /// Visit only the tiles whose flat indices appear in `subset` (the
-  /// incremental-rebuild path visits just the dirty tiles).
+  /// incremental repack visits just the dirty tiles).
   void for_each_tile(const std::vector<std::size_t>& subset,
                      const TileVisitor& visit) const;
 

@@ -93,9 +93,8 @@ class Crossbar {
   /// a healthy cell consumes endurance and may wear the cell out.
   void write(std::size_t r, std::size_t c, double target_g);
 
-  // The per-cell accessors below are defined inline: the detector, the
-  // effective-weight rebuild and the fused-forward pack call them once per
-  // cell per pass.
+  // The per-cell accessors below are defined inline: the detector and the
+  // fused-forward pack call them once per cell per pass.
 
   /// Actual analog conductance (stuck cells report their pinned value).
   [[nodiscard]] double conductance(std::size_t r, std::size_t c) const {
@@ -114,7 +113,6 @@ class Crossbar {
   /// conductance × attenuation.
   [[nodiscard]] double effective_conductance(std::size_t r,
                                              std::size_t c) const {
-    ++reads_;
     return g_[idx(r, c)] * attenuation(r, c);
   }
 
@@ -165,10 +163,6 @@ class Crossbar {
 
   [[nodiscard]] std::uint64_t write_count(std::size_t r, std::size_t c) const;
   [[nodiscard]] std::uint64_t total_writes() const { return total_writes_; }
-  /// Analog read-out accesses (effective_conductance calls) served so far.
-  /// Diagnostic probe: lets tests assert that incremental rebuilds do not
-  /// re-read clean tiles. Not serialized.
-  [[nodiscard]] std::uint64_t read_count() const { return reads_; }
   /// Writes that were suppressed because the cell is stuck.
   [[nodiscard]] std::uint64_t suppressed_writes() const {
     return suppressed_writes_;
@@ -203,9 +197,6 @@ class Crossbar {
   std::vector<FaultKind> faults_;
   std::vector<std::uint32_t> writes_;        ///< per-cell write counters
   std::vector<std::uint32_t> endurance_limit_;
-  /// Read-out probe; mutable because reads are logically const. Only ever
-  /// touched by the single lane that owns this tile during a parallel pass.
-  mutable std::uint64_t reads_ = 0;
   std::uint64_t total_writes_ = 0;
   std::uint64_t suppressed_writes_ = 0;
   std::size_t fault_count_ = 0;

@@ -1,6 +1,6 @@
 // Tests for the parallel compute backend (common/thread_pool.hpp) and its
 // consumers: pooled tensor kernels must be bit-identical to the serial
-// path at any thread count, the crossbar store's incremental rebuild must
+// path at any thread count, the crossbar store's incremental repack must
 // only re-read dirty tiles, and the store's running write/fault counters
 // must always match a fresh tile scan.
 #include "common/thread_pool.hpp"
@@ -9,12 +9,15 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "detect/quiescent_detector.hpp"
 #include "inline_call_probe.hpp"
+#include "obs/metrics.hpp"
 #include "rcs/crossbar_store.hpp"
+#include "store_reference.hpp"
 #include "tensor/ops.hpp"
 
 namespace refit {
@@ -66,6 +69,22 @@ TEST(Backend, ParallelForPropagatesExceptions) {
     n += static_cast<int>(e - b);  // refit-audit: allow(pool-capture) — atomic
   });
   EXPECT_EQ(n.load(), 10);
+}
+
+TEST(Backend, ThreadCountParserAcceptsOnlyWholeNumbersUpToTheCap) {
+  // Parser only: no pool is ever built from these values.
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("12"), 12u);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxThreads).c_str()),
+            kMaxThreads);
+  for (const char* bad : {"12abc", "0", "-1", "", "+4", " 4", "4 ", "0x10",
+                          "99999999999999999999999999"}) {
+    EXPECT_THROW((void)parse_thread_count(bad), CheckError) << "'" << bad << "'";
+  }
+  EXPECT_THROW(
+      (void)parse_thread_count(std::to_string(kMaxThreads + 1).c_str()),
+      CheckError);
+  EXPECT_THROW((void)parse_thread_count(nullptr), CheckError);
 }
 
 TEST(Backend, GemmVariantsBitIdenticalAcrossThreadCounts) {
@@ -132,12 +151,16 @@ Tensor random_weights(std::size_t r, std::size_t c, std::uint64_t seed) {
 
 TEST(Backend, StoreRebuildBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
-  // Construction, delta application, and rebuild all draw per-tile RNG, so
-  // the whole store lifecycle must be invariant to the pool size.
+  // Construction, delta application, and repacking all draw per-tile RNG
+  // or fan out per tile, so the whole store lifecycle must be invariant to
+  // the pool size — and match the independent reference at every size.
+  Rng xrng(12);
+  const Tensor x = Tensor::randn({4, 50}, xrng);
   auto run = [&](std::size_t threads) {
     ThreadPool::set_global_threads(threads);
     CrossbarWeightStore store(noisy_config(), random_weights(50, 60, 7),
                               Rng(9));
+    EXPECT_TRUE(matches_reference(store, x)) << threads << " threads";
     Tensor first = store.effective();
     Tensor delta({50, 60});
     Rng drng(11);
@@ -147,6 +170,7 @@ TEST(Backend, StoreRebuildBitIdenticalAcrossThreadCounts) {
       }
     }
     store.apply_delta(delta);
+    EXPECT_TRUE(matches_reference(store, x)) << threads << " threads";
     Tensor second = store.effective();
     return std::make_tuple(std::move(first), std::move(second),
                            store.write_count(), store.fault_count());
@@ -161,38 +185,42 @@ TEST(Backend, StoreRebuildBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Backend, IncrementalRebuildSkipsCleanTiles) {
+TEST(Backend, IncrementalRepackSkipsCleanTiles) {
   PoolGuard guard;
   ThreadPool::set_global_threads(1);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  if (!registry.enabled()) GTEST_SKIP() << "metrics compiled out";
   RcsConfig cfg;
   cfg.tile_rows = 16;
   cfg.tile_cols = 16;
   cfg.write_noise_sigma = 0.0;
   cfg.inject_fabrication = false;
   CrossbarWeightStore store(cfg, random_weights(32, 32, 3), Rng(4));
-  (void)store.effective();  // all four tiles rebuilt once
-
-  // Read-counter probe: snapshot each tile's analog read count, dirty only
-  // tile (0, 0) through a delta, and assert the other tiles are not
-  // re-read by the next rebuild.
-  std::uint64_t before[2][2];
-  for (std::size_t ti = 0; ti < 2; ++ti)
-    for (std::size_t tj = 0; tj < 2; ++tj)
-      before[ti][tj] = store.tile(ti, tj).read_count();
+  Rng xrng(5);
+  const Tensor x = Tensor::randn({2, 32}, xrng);
+  // Tiles the next forward repacks, read off store.fused_pack_tiles.
+  const auto repacked_by_forward = [&] {
+    const auto packed = [&] {
+      for (const auto& m : registry.snapshot())
+        if (m.name == "store.fused_pack_tiles") return m.count;
+      return std::uint64_t{0};
+    };
+    const std::uint64_t before = packed();
+    (void)store.forward_matmul(x);
+    return packed() - before;
+  };
+  EXPECT_EQ(repacked_by_forward(), 4u);  // a fresh store packs every tile
 
   Tensor delta({32, 32});
   delta.at(2, 3) = 0.05f;  // logical (2,3) lives on tile (0,0): identity perm
   store.apply_delta(delta);
-  (void)store.effective();
-
-  EXPECT_GT(store.tile(0, 0).read_count(), before[0][0]);
-  EXPECT_EQ(store.tile(0, 1).read_count(), before[0][1]);
-  EXPECT_EQ(store.tile(1, 0).read_count(), before[1][0]);
-  EXPECT_EQ(store.tile(1, 1).read_count(), before[1][1]);
-
-  // The skipped tiles' cached entries must still be served correctly.
-  const Tensor& eff = store.effective();
-  EXPECT_EQ(eff.shape(), delta.shape());
+  EXPECT_EQ(repacked_by_forward(), 1u);
+  EXPECT_EQ(repacked_by_forward(), 0u);  // clean
+  store.invalidate();
+  EXPECT_EQ(repacked_by_forward(), 4u);
+  registry.set_enabled(was_enabled);
 }
 
 TEST(Backend, RunningCountersMatchFreshTileScan) {
@@ -234,7 +262,7 @@ TEST(Backend, DetectStoreBitIdenticalAcrossThreadCounts) {
     dcfg.selected_cells_only = true;
     dcfg.classify_soft = classify;
     // Six 16x16 tiles: the detection grain must fan them out even though
-    // the cheap visitors (rebuild, pack) keep stores this small inline.
+    // the cheap visitors (pack, programming) keep stores this small inline.
     auto run = [&](std::size_t threads) {
       ThreadPool::set_global_threads(threads);
       RcsConfig cfg;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "detect/quiescent_detector.hpp"
@@ -17,6 +18,7 @@
 #include "inline_call_probe.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "rram/faults.hpp"
+#include "store_reference.hpp"
 #include "tensor/ops.hpp"
 
 namespace refit {
@@ -167,11 +169,13 @@ TEST(DeviceEncoding, ExpectedGMatchesTheEncoderPerLeg) {
 
 TEST(DeviceEncoding, FusedForwardBitExactOnDifferentialPairs) {
   PoolGuard pool_guard;
-  // 40×24 on 16×16 tiles (ragged edges) with faults on both legs: the
-  // fused kernel's per-tile re-pack must decode exactly like effective().
+  // 40×24 on 16×16 tiles (ragged edges) with faults on both legs and IR
+  // drop on: the per-tile re-pack must decode both legs exactly like the
+  // independent reference, also under permutations.
   const Tensor init = ramp(40, 24, 0.03f);
   RcsConfig cfg = clean_config();
   cfg.encoding = EncodingKind::kDifferentialPair;
+  cfg.wire_resistance_ratio = 0.002;
   CrossbarWeightStore store(cfg, init, Rng(21));
   store.tile(0, 0).force_fault(1, 2, FaultKind::kStuckAt0);
   store.tile_n(0, 1).force_fault(3, 3, FaultKind::kStuckAt1);
@@ -181,16 +185,16 @@ TEST(DeviceEncoding, FusedForwardBitExactOnDifferentialPairs) {
 
   Rng rng(22);
   const Tensor x = Tensor::randn({5, 40}, rng);
+  std::vector<std::size_t> rp(40), cp(24);
+  for (std::size_t i = 0; i < rp.size(); ++i) rp[i] = rp.size() - 1 - i;
+  for (std::size_t j = 0; j < cp.size(); ++j) cp[j] = (j + 5) % cp.size();
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool::set_global_threads(threads);
-    const Tensor fused = store.forward_matmul(x);
-    const Tensor ref = matmul(x, store.effective());
-    ASSERT_EQ(fused.shape(), ref.shape());
-    EXPECT_EQ(std::memcmp(fused.data(), ref.data(),
-                          fused.numel() * sizeof(float)),
-              0)
-        << "threads=" << threads;
+    store.invalidate();  // repack every tile at this thread count
+    EXPECT_TRUE(matches_reference(store, x)) << "threads=" << threads;
   }
+  store.set_permutations(rp, cp);
+  EXPECT_TRUE(matches_reference(store, x)) << "permuted";
 }
 
 // ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@
 //                                pointer-to-integer cast reaches a sink
 //   wallclock-to-output          a raw wall-clock read (outside the
 //                                obs::Clock seam) reaches a sink
-//   threadcount-value-dependence hardware_concurrency / thread-id /
-//                                kFast-reduction values reach a sink
+//   threadcount-value-dependence hardware_concurrency / thread-id values
+//                                reach a sink
 //
 // Findings ratchet against tools/refit_det/baseline.txt exactly like
 // refit-flow: keys are (rule, file, detail) — never line numbers.
