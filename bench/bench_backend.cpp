@@ -4,12 +4,12 @@
 //
 // Times the pooled tensor kernels against (a) the serial 1-thread path and
 // (b) serial copies of the pre-blocking naive kernels, and the fused faulty
-// forward in its clean and dirty-tile regimes; verifies pooled outputs are
+// forward in its clean and tile-write regimes; verifies pooled outputs are
 // bit-identical to serial (the fused forward against matmul(x,
 // effective())); and writes the results as JSON (default ./BENCH_backend.json,
 // override with REFIT_BENCH_OUT). Thread counts come from
-// REFIT_BENCH_THREADS (comma list, default "1,2,4"); REFIT_FAST=1 shrinks
-// repetitions.
+// REFIT_BENCH_THREADS (comma list, default "1,2,4"; each entry parsed as
+// strictly as REFIT_THREADS); REFIT_FAST=1 shrinks repetitions.
 //
 // GEMM-shaped rows carry achieved GFLOP/s and a roofline-style
 // fraction-of-peak column, where "peak" is measured in-process by a
@@ -72,16 +72,18 @@ struct Row {
   double speedup_vs_naive = 0.0;  ///< 0 for rows without a naive baseline
 };
 
+/// REFIT_BENCH_THREADS: comma-separated thread counts, each parsed as
+/// strictly as REFIT_THREADS (a bad entry throws before any pool is built).
 std::vector<std::size_t> thread_counts() {
   std::vector<std::size_t> out;
   const char* env = std::getenv("REFIT_BENCH_THREADS");
   std::stringstream ss(env != nullptr ? env : "1,2,4");
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    const long v = std::strtol(tok.c_str(), nullptr, 10);
-    if (v > 0) out.push_back(static_cast<std::size_t>(v));
+    out.push_back(
+        refit::parse_thread_count(tok.c_str(), "REFIT_BENCH_THREADS"));
   }
-  if (out.empty()) out.push_back(1);
+  REFIT_CHECK_MSG(!out.empty(), "REFIT_BENCH_THREADS is empty");
   return out;
 }
 
@@ -285,7 +287,13 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   double sink = 0.0;  // defeats dead-code elimination
 
-  const auto threads_list = thread_counts();
+  std::vector<std::size_t> threads_list;
+  try {
+    threads_list = thread_counts();
+  } catch (const refit::CheckError& e) {
+    std::cerr << "bench_backend: " << e.what() << "\n";
+    return 2;
+  }
   const std::size_t hw_threads = std::thread::hardware_concurrency();
   const std::size_t max_threads =
       *std::max_element(threads_list.begin(), threads_list.end());
@@ -381,9 +389,11 @@ int main(int argc, char** argv) {
   // ---- Fused faulty forward ----------------------------------------------
   // y = x·W_eff on a faulty 512×512 store through the packed panel cache,
   // in the clean regime (weights unchanged between forwards — inference,
-  // fig7 evals) and the dirty regime (a tile-local delta before every
-  // forward, so one tile repacks). speedup_vs_serial is against the same
-  // regime at the first thread count measured (1 by default).
+  // fig7 evals) and the tile-write regime (a one-cell delta before every
+  // forward; the write goes straight into the clean panel, so the row
+  // times the update plus the forward, with no repack — the row keeps its
+  // historical name). speedup_vs_serial is against the same regime at the
+  // first thread count measured (1 by default).
   {
     const std::size_t batch = 64;
     Rng xrng(5);

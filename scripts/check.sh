@@ -18,8 +18,9 @@
 #               under --manual-clock; refit-report renders the HTML dashboard;
 #               refit-bench-diff gates fresh REFIT_FAST runs vs BENCH_*.json
 #   asan-ubsan  full suite under AddressSanitizer + UBSan
-#   tsan        backend, device, detector, GEMM and fused-forward tests
-#               under ThreadSanitizer (REFIT_THREADS=4)
+#   tsan        backend, device, detector, GEMM, fused-forward, store-model
+#               and pooled threshold tests under ThreadSanitizer
+#               (REFIT_THREADS=4)
 #
 # All stages run even when an earlier one fails; a per-stage summary prints
 # at the end and the exit status is non-zero if any stage failed. Extra
@@ -325,20 +326,22 @@ if cmake -B build-asan -S . -DREFIT_SANITIZE=address,undefined &&
 fi
 record asan-ubsan $asan_rc
 
-banner "tsan: backend, device, detector, GEMM and fused-forward tests under TSan (REFIT_THREADS=4)"
+banner "tsan: backend, device, detector, GEMM, fused-forward, store-model and pooled threshold tests under TSan (REFIT_THREADS=4)"
 # REFIT_THREADS=4 puts the pooled paths under TSan: the thread pool, the
 # tile-parallel tick_noise and detect_store with its in-lane merge of each
 # tile's verdicts (Backend, Device*, Detector*), the packed GEMM's
-# parallel pack and row fan-out on every ISA tier (Gemm*) and the store's
-# tile-parallel repack behind forward_matmul (CrossbarStore.Fused*).
+# parallel pack and row fan-out on every ISA tier (Gemm*), the store's
+# tile-parallel repack behind forward_matmul (CrossbarStore.Fused*), its
+# tile-parallel writer with write-through (StoreModel*) and the
+# row-parallel threshold filter (Threshold.Pooled*).
 tsan_rc=1
 if cmake -B build-tsan -S . -DREFIT_SANITIZE=thread &&
    cmake --build build-tsan -j \
      --target test_backend test_device test_detector test_ops \
-              test_crossbar_store &&
+              test_crossbar_store test_store_model test_threshold &&
    (cd build-tsan &&
     REFIT_THREADS=4 ctest --output-on-failure \
-      -R '^Backend|^Device|^Detector|^Gemm|^CrossbarStore\.Fused'); then
+      -R '^Backend|^Device|^Detector|^Gemm|^CrossbarStore\.Fused|^StoreModel|^Threshold\.Pooled'); then
   tsan_rc=0
 fi
 record tsan $tsan_rc

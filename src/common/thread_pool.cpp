@@ -53,19 +53,19 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t n,
 
 }  // namespace
 
-std::size_t parse_thread_count(const char* text) {
-  REFIT_CHECK_MSG(text != nullptr && *text != '\0', "REFIT_THREADS is empty");
+std::size_t parse_thread_count(const char* text, const char* name) {
+  REFIT_CHECK_MSG(text != nullptr && *text != '\0', name << " is empty");
   std::size_t v = 0;
   for (const char* p = text; *p != '\0'; ++p) {
     REFIT_CHECK_MSG(*p >= '0' && *p <= '9',
-                    "REFIT_THREADS must be a whole decimal number, got '"
-                        << text << "'");
+                    name << " must be a whole decimal number, got '" << text
+                         << "'");
     // Checked per digit, so the accumulator can never overflow.
     v = v * 10 + static_cast<std::size_t>(*p - '0');
     REFIT_CHECK_MSG(v <= kMaxThreads,
-                    "REFIT_THREADS exceeds " << kMaxThreads << ": " << text);
+                    name << " exceeds " << kMaxThreads << ": " << text);
   }
-  REFIT_CHECK_MSG(v >= 1, "REFIT_THREADS must be at least 1, got " << text);
+  REFIT_CHECK_MSG(v >= 1, name << " must be at least 1, got " << text);
   return v;
 }
 

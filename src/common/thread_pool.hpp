@@ -75,10 +75,12 @@ class ThreadPool {
 /// Largest lane count REFIT_THREADS may ask for.
 inline constexpr std::size_t kMaxThreads = 1024;
 
-/// Parse a REFIT_THREADS value: a whole decimal number in [1, kMaxThreads]
-/// and nothing else (no sign, space or suffix). Throws CheckError on any
-/// other text, so a typo cannot silently ask for millions of threads.
-std::size_t parse_thread_count(const char* text);
+/// Parse a thread-count value read from the env var `name`: a whole
+/// decimal number in [1, kMaxThreads] and nothing else (no sign, space or
+/// suffix). Throws CheckError naming `name` on any other text, so a typo
+/// cannot silently ask for millions of threads.
+std::size_t parse_thread_count(const char* text,
+                               const char* name = "REFIT_THREADS");
 
 /// parallel_for on the global pool — the call sites' spelling.
 inline void parallel_for(

@@ -74,15 +74,6 @@ void PruneState::apply_to(Network& net) const {
   }
 }
 
-void PruneState::mask_delta(const WeightStore* store, Tensor& delta) const {
-  const PruneMask* mask = mask_for(store);
-  if (mask == nullptr) return;
-  REFIT_CHECK(delta.numel() == mask->pruned.size());
-  for (std::size_t i = 0; i < delta.numel(); ++i) {
-    if (mask->pruned[i]) delta[i] = 0.0f;
-  }
-}
-
 void PruneState::merge_mask(const WeightStore* store, const PruneMask& mask) {
   auto it = masks_.find(store);
   if (it == masks_.end()) {

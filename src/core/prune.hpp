@@ -63,8 +63,6 @@ class PruneState {
   /// Write zeros into the pruned positions of every masked store.
   void apply_to(Network& net) const;
 
-  /// Zero the entries of `delta` that are pruned for `store`.
-  void mask_delta(const WeightStore* store, Tensor& delta) const;
 
   [[nodiscard]] bool empty() const { return masks_.empty(); }
   [[nodiscard]] std::size_t total_pruned() const;

@@ -27,6 +27,12 @@ namespace {
 /// of a few full tiles ticks on every pool lane.
 constexpr std::size_t kTickWorkPerCell = 16;
 
+/// Per-cell cost of the store's writer in TileGrid grain units: a delta
+/// read per cell, plus an encode, a programming write (level snap, noise
+/// draw) and a read-out per programmed cell. Sized so a store of a few
+/// full tiles writes on every pool lane.
+constexpr std::size_t kWriteWorkPerCell = 8;
+
 double rms(const Tensor& t) {
   double s = 0.0;
   for (std::size_t i = 0; i < t.numel(); ++i) {
@@ -61,66 +67,53 @@ CrossbarWeightStore::CrossbarWeightStore(const RcsConfig& cfg, Tensor init,
     xc.wire_resistance_ratio = cfg_.wire_resistance_ratio;
     return xc;
   };
-  tiles_.reserve(tile_count);
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    tiles_.push_back(std::make_unique<Crossbar>(
-        make_config(grid_.span(t)), cfg_.endurance, rng.split(t + 1)));
-  }
-  if (enc_->legs() == 2) {
-    // The G_n plane's seeds continue past the G_p plane's (split() is pure,
-    // so the extra draws cannot perturb the single-leg stream).
-    tiles_n_.reserve(tile_count);
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      tiles_n_.push_back(std::make_unique<Crossbar>(
-          make_config(grid_.span(t)), cfg_.endurance,
-          rng.split(tile_count + t + 1)));
-    }
-  }
+  tiles_.resize(tile_count);
+  // The G_n plane's seeds continue past the G_p plane's (split() is pure,
+  // so the extra draws cannot perturb the single-leg stream).
+  if (enc_->legs() == 2) tiles_n_.resize(tile_count);
   noise_rng_ = rng.split(0x6e6f6973ULL);  // "nois"
-
-  if (cfg_.inject_fabrication && cfg_.fabrication.fraction > 0.0) {
-    Rng fab_rng = rng.split(0xfabfabULL);
-    // Salt by tile index (NOT the tile's heap address, which made fault
-    // patterns irreproducible across stores built from the same seed).
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      Rng tile_rng = fab_rng.split(t + 1);
-      inject_fabrication_faults(*tiles_[t], cfg_.fabrication, tile_rng);
-    }
-    for (std::size_t t = 0; t < tiles_n_.size(); ++t) {
-      Rng tile_rng = fab_rng.split(tile_count + t + 1);
-      inject_fabrication_faults(*tiles_n_[t], cfg_.fabrication, tile_rng);
-    }
-  }
+  const bool inject =
+      cfg_.inject_fabrication && cfg_.fabrication.fraction > 0.0;
+  const Rng fab_rng = rng.split(0xfabfabULL);
 
   map_ = LogicalMapping(r, c);
-  pack_dirty_.assign(tiles_.size(), 1);
-  pack_nonfinite_.assign(tiles_.size(), 0);
+  rebuild_bands();
+  pack_dirty_.assign(tile_count, 1);
+  pack_nonfinite_.assign(tile_count, 0);
   any_pack_dirty_ = true;
 
-  // Program the initial weights onto the chip, one pool lane per tile.
-  // With the identity permutations in force here, visiting each tile's
-  // cells row-major draws its RNG in exactly the order the serial logical
-  // (i, j) sweep would — programming is bit-identical at any thread count.
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      target_.at(i, j) = std::clamp(target_.at(i, j),
-                                    -static_cast<float>(weight_max_),
-                                    static_cast<float>(weight_max_));
-    }
-  }
-  grid_.for_each_tile([&](const TileSpan& span) {
-    Crossbar& xb = *tiles_[span.index];
-    Crossbar* xn = tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
-    double g[kMaxEncodingLegs];
-    for (std::size_t lr = 0; lr < span.rows; ++lr) {
-      for (std::size_t lc = 0; lc < span.cols; ++lc) {
-        enc_->encode(target_.at(span.row0 + lr, span.col0 + lc), weight_max_,
-                     g);
-        xb.write(lr, lc, g[0]);
-        if (xn != nullptr) xn->write(lr, lc, g[1]);
-      }
-    }
-  });
+  // Make, fault and program each tile on its own pool lane. Every tile
+  // draws only from its own streams (device rng.split(t + 1), fabrication
+  // fab_rng.split(t + 1), salted by tile index rather than the tile's heap
+  // address), so the chip is bit-identical at any thread count.
+  const auto program = [&](std::size_t i, std::size_t j) {
+    target_.at(i, j) = std::clamp(target_.at(i, j),
+                                  -static_cast<float>(weight_max_),
+                                  static_cast<float>(weight_max_));
+    return true;
+  };
+  grid_.for_each_tile(
+      [&](const TileSpan& span) {
+        const std::size_t t = span.index;
+        tiles_[t] = std::make_unique<Crossbar>(
+            make_config(span), cfg_.endurance, rng.split(t + 1));
+        if (!tiles_n_.empty()) {
+          tiles_n_[t] = std::make_unique<Crossbar>(
+              make_config(span), cfg_.endurance,
+              rng.split(tile_count + t + 1));
+        }
+        if (inject) {
+          Rng tile_rng = fab_rng.split(t + 1);
+          inject_fabrication_faults(*tiles_[t], cfg_.fabrication, tile_rng);
+          if (!tiles_n_.empty()) {
+            Rng tile_rng_n = fab_rng.split(tile_count + t + 1);
+            inject_fabrication_faults(*tiles_n_[t], cfg_.fabrication,
+                                      tile_rng_n);
+          }
+        }
+        (void)write_tile(span, program);
+      },
+      kWriteWorkPerCell);
   resync_counters();
 }
 
@@ -148,41 +141,100 @@ const Crossbar& CrossbarWeightStore::tile_n(std::size_t ti,
   return *tiles_n_[grid_.index_of(ti, tj)];
 }
 
-void CrossbarWeightStore::write_logical(std::size_t i, std::size_t j) {
-  const TileGrid::Coord tc =
-      grid_.locate(map_.physical_row(i), map_.physical_col(j));
-  Crossbar& xb = *tiles_[tc.tile];
-  Crossbar* xn = tiles_n_.empty() ? nullptr : tiles_n_[tc.tile].get();
-  // Diff the tiles' running totals around the write so the store-level
-  // aggregates stay exact whether the write lands, is suppressed (stuck
-  // cell), or wears the cell out.
-  const std::uint64_t w0 =
-      xb.total_writes() + (xn != nullptr ? xn->total_writes() : 0);
-  const std::size_t f0 =
-      xb.fault_count() + (xn != nullptr ? xn->fault_count() : 0);
-  const std::size_t wo0 = xb.wearout_fault_count() +
-                          (xn != nullptr ? xn->wearout_fault_count() : 0);
-  double g[kMaxEncodingLegs];
-  enc_->encode(target_.at(i, j), weight_max_, g);
-  xb.write(tc.lr, tc.lc, g[0]);
-  if (xn != nullptr) xn->write(tc.lr, tc.lc, g[1]);
-  const std::uint64_t w1 =
-      xb.total_writes() + (xn != nullptr ? xn->total_writes() : 0);
-  const std::size_t f1 =
-      xb.fault_count() + (xn != nullptr ? xn->fault_count() : 0);
-  const std::size_t wo1 = xb.wearout_fault_count() +
-                          (xn != nullptr ? xn->wearout_fault_count() : 0);
+void CrossbarWeightStore::rebuild_bands() {
+  // Counting sort of the logical indices by the band their physical
+  // coordinate falls in; ascending within a band because i (j) ascends.
+  const auto build = [](std::size_t n, std::size_t bands, std::size_t width,
+                        const std::vector<std::size_t>& perm,
+                        std::vector<std::size_t>& list,
+                        std::vector<std::size_t>& off) {
+    off.assign(bands + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) ++off[perm[i] / width + 1];
+    std::partial_sum(off.begin(), off.end(), off.begin());
+    list.resize(n);
+    std::vector<std::size_t> next(off.begin(), off.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) list[next[perm[i] / width]++] = i;
+  };
+  build(rows(), grid_.grid_rows(), grid_.tile_rows(), map_.row_perm(),
+        band_rows_, band_row_off_);
+  build(cols(), grid_.grid_cols(), grid_.tile_cols(), map_.col_perm(),
+        band_cols_, band_col_off_);
+}
+
+template <typename CellFn>
+CrossbarWeightStore::WriteTotals CrossbarWeightStore::write_tile(
+    const TileSpan& span, const CellFn& cell) {
+  Crossbar& xb = *tiles_[span.index];
+  Crossbar* xn = tiles_n_.empty() ? nullptr : tiles_n_[span.index].get();
+  const auto totals = [&] {
+    WriteTotals t{xb.total_writes(), xb.fault_count(),
+                  xb.wearout_fault_count()};
+    if (xn != nullptr) {
+      t.writes += xn->total_writes();
+      t.faults += xn->fault_count();
+      t.wearout += xn->wearout_fault_count();
+    }
+    return t;
+  };
+  const WriteTotals before = totals();
+  // A clean panel holding only finite values takes each new read-out in
+  // place; otherwise the tile repacks on the next refresh, which keeps
+  // pack_nonfinite_ (and so packed_finite_) exact.
+  bool through = pack_dirty_[span.index] == 0 &&
+                 pack_nonfinite_[span.index] == 0;
+  const std::size_t k = rows();
+  double g[kMaxEncodingLegs] = {0.0, 0.0};
+  for (std::size_t a = band_row_off_[span.ti]; a < band_row_off_[span.ti + 1];
+       ++a) {
+    const std::size_t i = band_rows_[a];
+    const std::size_t lr = map_.physical_row(i) - span.row0;
+    for (std::size_t b = band_col_off_[span.tj];
+         b < band_col_off_[span.tj + 1]; ++b) {
+      const std::size_t j = band_cols_[b];
+      if (!cell(i, j)) continue;
+      const std::size_t lc = map_.physical_col(j) - span.col0;
+      const float target = target_.at(i, j);
+      enc_->encode(target, weight_max_, g);
+      xb.write(lr, lc, g[0]);
+      if (xn != nullptr) xn->write(lr, lc, g[1]);
+      if (through) {
+        const float w = read_cell(xb, xn, lr, lc, target);
+        through = std::isfinite(w);
+        if (through) packed_eff_[gemm::packed_index(k, i, j)] = w;
+      }
+      if (!through) pack_dirty_[span.index] = 1;
+    }
+  }
+  const WriteTotals after = totals();
+  return {after.writes - before.writes, after.faults - before.faults,
+          after.wearout - before.wearout};
+}
+
+template <typename CellFn>
+void CrossbarWeightStore::write_cells(const CellFn& cell) {
+  std::vector<WriteTotals> per_tile(tiles_.size());
+  grid_.for_each_tile(
+      [&](const TileSpan& span) {
+        per_tile[span.index] = write_tile(span, cell);
+      },
+      kWriteWorkPerCell);
+  WriteTotals sum;
+  for (const WriteTotals& t : per_tile) {
+    sum.writes += t.writes;
+    sum.faults += t.faults;
+    sum.wearout += t.wearout;
+  }
   static obs::Counter writes_metric =
       obs::MetricsRegistry::instance().counter("store.writes", "writes");
   static obs::Counter wearout_metric = obs::MetricsRegistry::instance().counter(
       "store.wearout_faults", "faults");
-  writes_metric.add(w1 - w0);
-  wearout_metric.add(wo1 - wo0);
-  writes_agg_ += w1 - w0;
-  faults_agg_ += f1 - f0;
-  wearout_agg_ += wo1 - wo0;
-  pack_dirty_[tc.tile] = 1;
-  any_pack_dirty_ = true;
+  writes_metric.add(sum.writes);
+  wearout_metric.add(sum.wearout);
+  writes_agg_ += sum.writes;
+  faults_agg_ += sum.faults;
+  wearout_agg_ += sum.wearout;
+  any_pack_dirty_ = std::find(pack_dirty_.begin(), pack_dirty_.end(), 1) !=
+                    pack_dirty_.end();
 }
 
 const Tensor& CrossbarWeightStore::effective() {
@@ -338,50 +390,40 @@ Tensor CrossbarWeightStore::forward_matmul(const Tensor& x) {
 void CrossbarWeightStore::apply_delta(const Tensor& delta) {
   REFIT_CHECK_MSG(delta.shape() == target_.shape(),
                   "delta shape mismatch in CrossbarWeightStore");
-  const std::size_t r = rows(), c = cols();
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      const float d = delta.at(i, j);
-      if (d == 0.0f) continue;  // threshold training skips these writes
-      target_.at(i, j) = std::clamp(target_.at(i, j) + d,
-                                    -static_cast<float>(weight_max_),
-                                    static_cast<float>(weight_max_));
-      write_logical(i, j);
-    }
-  }
+  write_cells([&](std::size_t i, std::size_t j) {
+    const float d = delta.at(i, j);
+    if (d == 0.0f) return false;  // threshold training skips these writes
+    target_.at(i, j) = std::clamp(target_.at(i, j) + d,
+                                  -static_cast<float>(weight_max_),
+                                  static_cast<float>(weight_max_));
+    return true;
+  });
 }
 
 void CrossbarWeightStore::apply_delta_full(const Tensor& delta) {
   REFIT_CHECK_MSG(delta.shape() == target_.shape(),
                   "delta shape mismatch in CrossbarWeightStore");
-  const std::size_t r = rows(), c = cols();
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      const float d = delta.at(i, j);
-      if (d != 0.0f) {
-        target_.at(i, j) = std::clamp(target_.at(i, j) + d,
-                                      -static_cast<float>(weight_max_),
-                                      static_cast<float>(weight_max_));
-      }
-      // Zero delta still issues the programming pulse (same value).
-      write_logical(i, j);
+  write_cells([&](std::size_t i, std::size_t j) {
+    const float d = delta.at(i, j);
+    if (d != 0.0f) {
+      target_.at(i, j) = std::clamp(target_.at(i, j) + d,
+                                    -static_cast<float>(weight_max_),
+                                    static_cast<float>(weight_max_));
     }
-  }
+    return true;  // a zero delta still issues the programming pulse
+  });
 }
 
 void CrossbarWeightStore::assign(const Tensor& w) {
   REFIT_CHECK_MSG(w.shape() == target_.shape(),
                   "assign shape mismatch in CrossbarWeightStore");
-  const std::size_t r = rows(), c = cols();
-  for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      const float nv = std::clamp(w.at(i, j), -static_cast<float>(weight_max_),
-                                  static_cast<float>(weight_max_));
-      if (nv == target_.at(i, j)) continue;
-      target_.at(i, j) = nv;
-      write_logical(i, j);
-    }
-  }
+  write_cells([&](std::size_t i, std::size_t j) {
+    const float nv = std::clamp(w.at(i, j), -static_cast<float>(weight_max_),
+                                static_cast<float>(weight_max_));
+    if (nv == target_.at(i, j)) return false;
+    target_.at(i, j) = nv;
+    return true;
+  });
 }
 
 double CrossbarWeightStore::expected_g(std::size_t r, std::size_t c,
@@ -412,36 +454,6 @@ FaultMatrix CrossbarWeightStore::true_fault_matrix() const {
   return fm;
 }
 
-double CrossbarWeightStore::actual_g(std::size_t r, std::size_t c,
-                                     std::size_t leg) const {
-  REFIT_CHECK(leg < legs());
-  const TileGrid::Coord tc = grid_.locate(r, c);
-  const Crossbar& xb = leg == 0 ? *tiles_[tc.tile] : *tiles_n_[tc.tile];
-  return xb.conductance(tc.lr, tc.lc);
-}
-
-void CrossbarWeightStore::pulse_physical(std::size_t r, std::size_t c,
-                                         double delta_g, std::size_t leg) {
-  REFIT_CHECK(leg < legs());
-  const TileGrid::Coord tc = grid_.locate(r, c);
-  Crossbar& xb = leg == 0 ? *tiles_[tc.tile] : *tiles_n_[tc.tile];
-  const std::uint64_t w0 = xb.total_writes();
-  const std::size_t f0 = xb.fault_count();
-  const std::size_t wo0 = xb.wearout_fault_count();
-  xb.write(tc.lr, tc.lc, xb.conductance(tc.lr, tc.lc) + delta_g);
-  static obs::Counter writes_metric =
-      obs::MetricsRegistry::instance().counter("store.writes", "writes");
-  static obs::Counter wearout_metric = obs::MetricsRegistry::instance().counter(
-      "store.wearout_faults", "faults");
-  writes_metric.add(xb.total_writes() - w0);
-  wearout_metric.add(xb.wearout_fault_count() - wo0);
-  writes_agg_ += xb.total_writes() - w0;
-  faults_agg_ += xb.fault_count() - f0;
-  wearout_agg_ += xb.wearout_fault_count() - wo0;
-  pack_dirty_[tc.tile] = 1;
-  any_pack_dirty_ = true;
-}
-
 void CrossbarWeightStore::sync_targets_where(
     const FaultMatrix& physical_faults) {
   REFIT_CHECK(physical_faults.rows() == rows() &&
@@ -454,9 +466,12 @@ void CrossbarWeightStore::sync_targets_where(
       const TileGrid::Coord tc = grid_.locate(pr, pc);
       const Crossbar* xn =
           tiles_n_.empty() ? nullptr : tiles_n_[tc.tile].get();
-      // The old target is the sign hint the cell was programmed from.
+      // The old target is the sign hint the cell was programmed from; the
+      // new one is the hint its panel slot must be read out against.
       target_.at(i, j) =
           read_cell(*tiles_[tc.tile], xn, tc.lr, tc.lc, target_.at(i, j));
+      pack_dirty_[tc.tile] = 1;
+      any_pack_dirty_ = true;
     }
   }
 }
@@ -467,22 +482,27 @@ void CrossbarWeightStore::set_permutations(std::vector<std::size_t> row_perm,
   const std::vector<std::size_t> old_rows = map_.row_perm();
   const std::vector<std::size_t> old_cols = map_.col_perm();
   map_.set(std::move(row_perm), std::move(col_perm));
+  rebuild_bands();
 
   // Rewrite every cell whose logical owner moved. (Unmoved cells keep their
   // programmed conductance — no endurance is spent on them.) Bijectivity
-  // means every physical cell with a new occupant is rewritten here, so the
-  // per-tile dirty marks from write_logical cover exactly the tiles whose
-  // packed entries can have changed — no blanket invalidation needed.
-  std::uint64_t rewritten = 0;
+  // means every physical cell with a new occupant is rewritten here, so
+  // each moved weight's panel slot is written through (or its tile marked
+  // stale) — no blanket invalidation needed.
+  std::vector<std::uint8_t> row_moved(r), col_moved(c);
+  std::size_t rows_kept = 0, cols_kept = 0;
   for (std::size_t i = 0; i < r; ++i) {
-    const bool row_moved = old_rows[i] != map_.physical_row(i);
-    for (std::size_t j = 0; j < c; ++j) {
-      if (row_moved || old_cols[j] != map_.physical_col(j)) {
-        write_logical(i, j);
-        ++rewritten;
-      }
-    }
+    row_moved[i] = old_rows[i] != map_.physical_row(i) ? 1 : 0;
+    rows_kept += row_moved[i] == 0 ? 1 : 0;
   }
+  for (std::size_t j = 0; j < c; ++j) {
+    col_moved[j] = old_cols[j] != map_.physical_col(j) ? 1 : 0;
+    cols_kept += col_moved[j] == 0 ? 1 : 0;
+  }
+  write_cells([&](std::size_t i, std::size_t j) {
+    return row_moved[i] != 0 || col_moved[j] != 0;
+  });
+  const std::uint64_t rewritten = r * c - rows_kept * cols_kept;
   obs::EventLog::global().emit(
       obs::EventKind::kRemap, obs::EventSeverity::kInfo, "store",
       {{"rows", static_cast<double>(r)},
@@ -536,6 +556,7 @@ void CrossbarWeightStore::read_from(std::istream& is) {
   map_ = LogicalMapping::load(is);
   REFIT_CHECK_MSG(map_.rows() == rows() && map_.cols() == cols(),
                   "corrupt store checkpoint (permutations)");
+  rebuild_bands();
   enc_ = &CellEncoding::of(cfg_.encoding);
   tiles_.clear();
   tiles_.reserve(grid_.tile_count());

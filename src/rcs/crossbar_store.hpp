@@ -81,7 +81,7 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] const Tensor& target() const override { return target_; }
   /// Fused faulty forward: y = x · W_eff computed straight from crossbar
   /// conductances, sign registers, and the logical mapping through the
-  /// packed panel cache. Dirty tiles repack their cells into the GEMM panel
+  /// packed panel cache. Stale tiles repack their cells into the GEMM panel
   /// layout (tile-parallel, disjoint scatter); the multiply then runs the
   /// same deterministic micro-kernel as matmul(x, effective()), so the
   /// result is bit-identical to it at any thread count and permutation.
@@ -129,9 +129,6 @@ class CrossbarWeightStore final : public WeightStore {
   [[nodiscard]] FaultKind true_fault(std::size_t r, std::size_t c) const;
   /// Assembled ground-truth fault matrix (physical space).
   [[nodiscard]] FaultMatrix true_fault_matrix() const;
-  /// Actual conductance of the physical cell on `leg`.
-  [[nodiscard]] double actual_g(std::size_t r, std::size_t c,
-                                std::size_t leg = 0) const;
 
   // ---- Permutations (re-mapping) ----------------------------------------
   /// Install logical→physical permutations; rewrites moved cells.
@@ -185,13 +182,10 @@ class CrossbarWeightStore final : public WeightStore {
   /// ±weight_max for SA1), so a later re-mapping relocates real values
   /// instead of stale garbage and magnitude pruning naturally reuses SA0
   /// cells as zeros. Decodes the flagged cells straight from the tiles and
-  /// leaves the packed panel cache as it is.
+  /// marks their tiles' panels stale: the new target is the read-out's
+  /// sign hint, so a synced SA0 weight repacks as +0.0 where its old
+  /// negative target read −0.0.
   void sync_targets_where(const FaultMatrix& physical_faults);
-
-  /// Issue a raw ±one-level pulse to a physical cell on `leg` (detection
-  /// writes).
-  void pulse_physical(std::size_t r, std::size_t c, double delta_g,
-                      std::size_t leg = 0);
 
   /// Advance device time by one tick: soft faults decay, conductances
   /// drift, and new transient faults may strike (device/noise_model.hpp).
@@ -218,8 +212,29 @@ class CrossbarWeightStore final : public WeightStore {
 
   /// Body of load(): fill this (fresh) store from a checkpoint.
   void read_from(std::istream& is);
-  /// Program the physical cell hosting logical (i, j) from target_.
-  void write_logical(std::size_t i, std::size_t j);
+
+  /// Device-state change of one tile's writes, summed over its legs.
+  struct WriteTotals {
+    std::uint64_t writes = 0;
+    std::size_t faults = 0;
+    std::size_t wearout = 0;
+  };
+  /// The store's one writer, for one tile. Visits the tile's logical cells
+  /// in logical row-major order (the band lists below), so each Crossbar
+  /// draws its RNG in the order a serial logical sweep would, under any
+  /// permutation. `cell(i, j)` updates target_(i, j) and returns whether
+  /// the cell is programmed from it. A programmed cell's read-out is
+  /// written through into a clean, finite panel; a write into any other
+  /// tile, or one that reads out non-finite, marks the tile stale.
+  /// Returns the tile's totals, diffed once around the whole visit.
+  template <typename CellFn>
+  WriteTotals write_tile(const TileSpan& span, const CellFn& cell);
+  /// Run write_tile on every tile, one pool lane per tile, and fold the
+  /// per-tile totals into the aggregates and metrics in tile order.
+  template <typename CellFn>
+  void write_cells(const CellFn& cell);
+  /// Rebuild the band lists from map_ (after any permutation change).
+  void rebuild_bands();
   /// The store's one read-out expression: the weight the analog compute
   /// path sees on cell (lr, lc) of a tile (`xn` is its G_n twin, null for
   /// single-leg encodings), decoded against `sign_hint`, the target the
@@ -247,6 +262,14 @@ class CrossbarWeightStore final : public WeightStore {
   double weight_max_ = 1.0;
   TileGrid grid_;
   LogicalMapping map_;
+  /// Per tile-row band ti, the ascending logical rows hosted there:
+  /// band_rows_[band_row_off_[ti] .. band_row_off_[ti + 1]); likewise per
+  /// tile-column band. A tile's cells in logical row-major order are the
+  /// product of its two bands.
+  std::vector<std::size_t> band_rows_;
+  std::vector<std::size_t> band_row_off_;
+  std::vector<std::size_t> band_cols_;
+  std::vector<std::size_t> band_col_off_;
   std::vector<std::unique_ptr<Crossbar>> tiles_;
   /// G_n tile plane, same geometry as tiles_; empty when legs() == 1.
   std::vector<std::unique_ptr<Crossbar>> tiles_n_;
@@ -254,9 +277,11 @@ class CrossbarWeightStore final : public WeightStore {
   Rng noise_rng_{0};
   std::uint64_t noise_ticks_ = 0;
   /// The store's only copy of the effective weights, in the packed panel
-  /// layout of tensor/gemm.hpp. Per-tile staleness flags (uint8_t, not
-  /// vector<bool>: lanes clear flags for distinct tiles without sharing a
-  /// word); any_pack_dirty_ short-circuits the clean forward.
+  /// layout of tensor/gemm.hpp. Writes keep clean tiles current in place;
+  /// tile-wide mutations (tick, detection, restore, sync) set the per-tile
+  /// staleness flags (uint8_t, not vector<bool>: lanes set and clear flags
+  /// for distinct tiles without sharing a word); any_pack_dirty_
+  /// short-circuits the clean forward.
   std::vector<float> packed_eff_;
   std::vector<std::uint8_t> pack_dirty_;
   bool any_pack_dirty_ = true;

@@ -1,7 +1,7 @@
 // TileGrid — the tile partitioning of a 2-D matrix onto fixed-size
 // crossbar tiles (edge tiles shrink to fit), shared by every component
-// that walks the tiles of a store: the packed-panel repack, the on-line
-// detector, and the re-mapping engine's write-back.
+// that walks the tiles of a store: the store's writer, the packed-panel
+// repack, the on-line detector, and the re-mapping engine's write-back.
 //
 // The grid is pure geometry: it knows where each tile sits inside the
 // matrix, not what the tile contains. Its one compute primitive,

@@ -1,14 +1,15 @@
 // Tests for the parallel compute backend (common/thread_pool.hpp) and its
 // consumers: pooled tensor kernels must be bit-identical to the serial
-// path at any thread count, the crossbar store's incremental repack must
-// only re-read dirty tiles, and the store's running write/fault counters
-// must always match a fresh tile scan.
+// path at any thread count, the crossbar store's writes must keep clean
+// panels current without a repack, and the store's running write/fault
+// counters must always match a fresh tile scan.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -216,10 +217,16 @@ TEST(Backend, IncrementalRepackSkipsCleanTiles) {
   Tensor delta({32, 32});
   delta.at(2, 3) = 0.05f;  // logical (2,3) lives on tile (0,0): identity perm
   store.apply_delta(delta);
-  EXPECT_EQ(repacked_by_forward(), 1u);
-  EXPECT_EQ(repacked_by_forward(), 0u);  // clean
+  // The write's read-out went straight into the clean panel.
+  EXPECT_EQ(repacked_by_forward(), 0u);
+  EXPECT_TRUE(matches_reference(store, x));
   store.invalidate();
   EXPECT_EQ(repacked_by_forward(), 4u);
+  // A write that reads out non-finite falls back to a repack of its tile.
+  delta.at(2, 3) = std::numeric_limits<float>::quiet_NaN();
+  store.apply_delta(delta);
+  EXPECT_EQ(repacked_by_forward(), 1u);
+  EXPECT_EQ(repacked_by_forward(), 0u);  // clean
   registry.set_enabled(was_enabled);
 }
 

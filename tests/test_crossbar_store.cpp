@@ -396,5 +396,42 @@ TEST(CrossbarStore, FusedForwardBitExactOnNonFiniteWeights) {
     ASSERT_TRUE(std::isfinite(healed[i])) << "element " << i;
 }
 
+TEST(CrossbarStore, SyncedTargetsReadOutAsAfterALaterWrite) {
+  // sync_targets_where rewrites targets, and a target is the sign hint its
+  // panel slot is read out against: an SA0 weight whose old target was
+  // negative must read the same bits right after the sync as after a later
+  // write to another cell of its tile.
+  for (const EncodingKind enc :
+       {EncodingKind::kSingleCell, EncodingKind::kDifferentialPair}) {
+    RcsConfig cfg = clean_config();
+    cfg.encoding = enc;
+    Tensor init = ramp(32, 32, 0.02f);
+    init.at(0, 0) = -0.1f;
+    CrossbarWeightStore store(cfg, init, Rng(34));
+    store.tile(0, 0).force_fault(0, 0, FaultKind::kStuckAt0);
+    store.invalidate();
+    Rng rng(35);
+    const Tensor x = Tensor::randn({2, 32}, rng);
+    (void)store.forward_matmul(x);  // the panel holds the old sign hint
+
+    FaultMatrix faults(32, 32);
+    faults.set(0, 0, FaultKind::kStuckAt0);
+    store.sync_targets_where(faults);
+    EXPECT_TRUE(matches_reference(store, x));
+    const Tensor synced = store.effective();
+
+    Tensor delta({32, 32});
+    delta.at(5, 5) = 0.05f;  // same tile (0,0), another cell
+    store.apply_delta(delta);
+    const Tensor later = store.effective();
+    // Every weight but the written one reads the same bits, the synced
+    // SA0 weight's zero included.
+    Tensor expected = synced;
+    expected.at(5, 5) = later.at(5, 5);
+    EXPECT_TRUE(same_bits(expected, later));
+    EXPECT_TRUE(matches_reference(store, x));
+  }
+}
+
 }  // namespace
 }  // namespace refit

@@ -74,20 +74,6 @@ TEST(Prune, ApplyZeroesWeights) {
   }
 }
 
-TEST(Prune, MaskDeltaZeroesPrunedEntries) {
-  Rng rng(5);
-  Network net = make_mlp({8, 4}, software_store_factory(), rng);
-  PruneConfig cfg;
-  cfg.fc_sparsity = 0.5;
-  const PruneState st = PruneState::compute(net, cfg);
-  MatrixLayer* ml = net.matrix_layers()[0];
-  const PruneMask* m = st.mask_for(&ml->weights());
-  Tensor delta({8, 4}, 1.0f);
-  st.mask_delta(&ml->weights(), delta);
-  for (std::size_t i = 0; i < delta.numel(); ++i)
-    EXPECT_EQ(delta[i], m->pruned[i] ? 0.0f : 1.0f);
-}
-
 TEST(Prune, ConvAndFcUseDifferentSparsity) {
   Rng rng(6);
   VggMiniConfig vcfg;

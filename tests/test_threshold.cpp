@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/remap.hpp"
+#include "inline_call_probe.hpp"
 #include "nn/dense.hpp"
 #include "rcs/crossbar_store.hpp"
 #include "rcs/rcs_system.hpp"
@@ -195,6 +200,88 @@ TEST(Threshold, PerLayerMaxMode) {
                                  LrSchedule{1.0, 1.0, 0, 1e-4});
   const auto st_l = local_t.step(pl, 0);
   EXPECT_EQ(st_l.writes_issued, 8u);
+}
+
+TEST(Threshold, PooledStepMatchesSerial) {
+  // A 784×100 crossbar layer, so both filter passes and the store's writer
+  // fan out at 4 threads, with every per-cell option on: a prune mask,
+  // detected-fault skipping and wear leveling.
+  struct Result {
+    ThresholdStepStats stats;
+    Tensor target;
+    std::uint64_t writes = 0;
+  };
+  const auto run = [](std::size_t threads) {
+    ThreadPool::set_global_threads(threads);
+    RcsConfig cfg;
+    cfg.fabrication.fraction = 0.05;
+    Rng rng(11);
+    Network net;
+    RcsSystem sys(cfg, Rng(12));
+    net.add(std::make_unique<Dense>("fc", 784, 100, sys.factory(), rng));
+    std::vector<Param> params = net.params();
+    auto* store = dynamic_cast<CrossbarWeightStore*>(params[0].store);
+    EXPECT_NE(store, nullptr);
+    PruneConfig pcfg;
+    pcfg.fc_sparsity = 0.3;
+    const PruneState prune = PruneState::compute(net, pcfg);
+    const PruneMask* mask = prune.mask_for(params[0].store);
+    EXPECT_NE(mask, nullptr);
+
+    // Hot cells in the first rows, so wear leveling raises their threshold.
+    Tensor hot({784, 100});
+    for (std::size_t j = 0; j < 100; ++j) hot.at(j % 8, j) = 0.001f;
+    for (int i = 0; i < 6; ++i) store->apply_delta(hot);
+
+    Rng grng(13);
+    Tensor& g = *params[0].grad;
+    for (std::size_t i = 0; i < g.numel(); ++i)
+      g[i] = static_cast<float>(grng.normal(0.0, 0.1));
+    // The step's largest update sits in a row led by a NaN update: the
+    // row's max must start from 0, as Tensor::max_abs does, or it is lost.
+    std::size_t r = 0;
+    while (mask->at(r, 0) || mask->at(r, 5)) ++r;
+    g.at(r, 0) = std::numeric_limits<float>::quiet_NaN();
+    g.at(r, 5) = 10.0f;
+
+    FaultMatrix fm(784, 100);
+    for (std::size_t c = 0; c < 784 * 100; c += 37)
+      fm.set(c / 100, c % 100, FaultKind::kStuckAt0);
+    DetectedFaults detected;
+    detected.emplace(params[0].store, fm);
+
+    const ThresholdTrainer t({0.01, 2.0, true}, LrSchedule{1.0, 1.0, 0, 1e-4});
+    const Tensor before = store->target();
+    const InlineCallProbe probe;
+    Result res;
+    res.stats = t.step(params, 0, &prune, &detected);
+    if (threads > 1 && probe.available()) {
+      EXPECT_GE(probe.calls(), 3u);  // two filter passes and the writer
+      EXPECT_EQ(probe.inline_calls(), 0u) << "the filter ran inline";
+    }
+    for (std::size_t e = 0; e < before.numel(); ++e) {
+      if (mask->pruned[e]) {
+        EXPECT_EQ(store->target()[e], before[e]) << e;
+      }
+    }
+    res.target = store->target();
+    res.writes = store->write_count();
+    return res;
+  };
+  const Result one = run(1);
+  const Result four = run(4);
+  ThreadPool::set_global_threads(1);
+  EXPECT_EQ(one.stats.dw_max, 10.0);
+  EXPECT_GT(one.stats.writes_suppressed, 0u);
+  EXPECT_EQ(one.stats.writes_issued, four.stats.writes_issued);
+  EXPECT_EQ(one.stats.writes_suppressed, four.stats.writes_suppressed);
+  EXPECT_EQ(one.stats.updates_zero, four.stats.updates_zero);
+  EXPECT_EQ(one.stats.dw_max, four.stats.dw_max);
+  EXPECT_EQ(one.writes, four.writes);
+  ASSERT_EQ(one.target.numel(), four.target.numel());
+  EXPECT_EQ(std::memcmp(one.target.data(), four.target.data(),
+                        one.target.numel() * sizeof(float)),
+            0);
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ std::vector<Finding> lint_source(const std::string& path,
              tok.text +
                  "() mutates raw conductance outside src/device — thread "
                  "the change through CellEncoding / DeviceNoiseModel (or "
-                 "the store's pulse_physical) so encodings stay swappable");
+                 "the store's writer) so encodings stay swappable");
     }
 
     // store.effective() / store->effective() on inference-side modules.
