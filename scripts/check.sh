@@ -326,22 +326,25 @@ if cmake -B build-asan -S . -DREFIT_SANITIZE=address,undefined &&
 fi
 record asan-ubsan $asan_rc
 
-banner "tsan: backend, device, detector, GEMM, fused-forward, store-model and pooled threshold tests under TSan (REFIT_THREADS=4)"
+banner "tsan: backend, device, detector, GEMM, fused-forward, store-model, pooled threshold, conv glue and sharded eval tests under TSan (REFIT_THREADS=4)"
 # REFIT_THREADS=4 puts the pooled paths under TSan: the thread pool, the
 # tile-parallel tick_noise and detect_store with its in-lane merge of each
 # tile's verdicts (Backend, Device*, Detector*), the packed GEMM's
 # parallel pack and row fan-out on every ISA tier (Gemm*), the store's
 # tile-parallel repack behind forward_matmul (CrossbarStore.Fused*), its
-# tile-parallel writer with write-through (StoreModel*) and the
-# row-parallel threshold filter (Threshold.Pooled*).
+# tile-parallel writer with write-through (StoreModel*), the
+# row-parallel threshold filter (Threshold.Pooled*), the pooled conv glue
+# kernels (Ops.ConvGlue*), and the sharded evaluation with its muted
+# spans (Network.ShardedEvaluate*, ObsTest.GoldenTrace*).
 tsan_rc=1
 if cmake -B build-tsan -S . -DREFIT_SANITIZE=thread &&
    cmake --build build-tsan -j \
      --target test_backend test_device test_detector test_ops \
-              test_crossbar_store test_store_model test_threshold &&
+              test_crossbar_store test_store_model test_threshold \
+              test_network test_obs &&
    (cd build-tsan &&
     REFIT_THREADS=4 ctest --output-on-failure \
-      -R '^Backend|^Device|^Detector|^Gemm|^CrossbarStore\.Fused|^StoreModel|^Threshold\.Pooled'); then
+      -R '^Backend|^Device|^Detector|^Gemm|^CrossbarStore\.Fused|^StoreModel|^Threshold\.Pooled|^Ops\.ConvGlue|^Network\.ShardedEvaluate|^ObsTest\.GoldenTrace'); then
   tsan_rc=0
 fi
 record tsan $tsan_rc

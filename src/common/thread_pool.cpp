@@ -26,14 +26,19 @@ namespace {
 // thread runs inline instead of fanning out again. Also held on the
 // *caller* while it executes its own chunk (inline or lane 0), which (a)
 // keeps nested parallel_for calls inline — fanning out mid-job would
-// corrupt the pending job — and (b) keeps nested calls span-free on every
-// path, so traces do not depend on the thread count.
+// corrupt the pending job — and (b) mutes every trace span opened inside
+// the chunk on every path, so traces do not depend on the thread count.
 thread_local bool t_inside_pool = false;
+
+void set_inside_pool(bool inside) {
+  t_inside_pool = inside;
+  obs::Tracer::set_thread_muted(inside);
+}
 
 // Scoped t_inside_pool (exception-safe restore).
 struct InsidePoolGuard {
-  InsidePoolGuard() { t_inside_pool = true; }
-  ~InsidePoolGuard() { t_inside_pool = false; }
+  InsidePoolGuard() { set_inside_pool(true); }
+  ~InsidePoolGuard() { set_inside_pool(false); }
 };
 
 std::size_t default_thread_count() {
@@ -93,8 +98,10 @@ void ThreadPool::run_chunk(std::size_t lane) {
   (*job_body_)(begin, end);
 }
 
+bool ThreadPool::inside_chunk() { return t_inside_pool; }
+
 void ThreadPool::worker_loop(std::size_t lane) {
-  t_inside_pool = true;
+  set_inside_pool(true);
   obs::Tracer::set_thread_tid(static_cast<std::uint32_t>(lane));
   obs::Counter busy_ns = obs::MetricsRegistry::instance().counter(
       "pool.worker." + std::to_string(lane) + ".busy_ns", "ns");

@@ -13,8 +13,9 @@
 // workers entirely and parallel_for degenerates to an inline loop on the
 // caller), otherwise from std::thread::hardware_concurrency().
 // Exceptions thrown inside a chunk are captured and rethrown on the
-// calling thread. parallel_for called from inside a worker runs inline
-// (no nested fan-out, no deadlock).
+// calling thread. parallel_for called from inside a chunk runs inline
+// (no nested fan-out, no deadlock), and trace spans opened inside a chunk
+// are muted, so traces are identical at any thread count.
 #pragma once
 
 #include <condition_variable>
@@ -45,6 +46,11 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t max_lanes = 0);
+
+  /// True while the calling thread runs a chunk of any pool, inline or
+  /// pooled — where nested parallel_for calls run inline and trace spans
+  /// are muted.
+  [[nodiscard]] static bool inside_chunk();
 
   /// The process-wide pool (REFIT_THREADS / hardware concurrency).
   static ThreadPool& global();

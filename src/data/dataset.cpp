@@ -47,12 +47,26 @@ void Batcher::save(std::ostream& os) const {
 }
 
 void Batcher::load(std::istream& is) {
+  // Read and check everything before committing any of it: a bad stream
+  // throws CheckError and leaves the batcher as it was.
   const auto order = ser::read_vec<std::uint64_t>(is);
-  REFIT_CHECK_MSG(order.size() == data_.train_size(),
+  const auto cursor = ser::read_pod<std::uint64_t>(is);
+  const auto epochs = ser::read_pod<std::uint64_t>(is);
+  const std::size_t n = data_.train_size();
+  REFIT_CHECK_MSG(order.size() == n,
                   "batcher checkpoint does not match the dataset");
+  // next() computes cursor + batch_size; a cursor past the end would wrap.
+  REFIT_CHECK_MSG(cursor <= n, "batcher checkpoint cursor " << cursor
+                                   << " exceeds the order length " << n);
+  std::vector<std::uint8_t> seen(n, 0);
+  for (const std::uint64_t r : order) {
+    REFIT_CHECK_MSG(r < n && seen[r] == 0,
+                    "batcher checkpoint order is not a permutation");
+    seen[r] = 1;
+  }
   order_.assign(order.begin(), order.end());
-  cursor_ = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
-  epochs_ = static_cast<std::size_t>(ser::read_pod<std::uint64_t>(is));
+  cursor_ = static_cast<std::size_t>(cursor);
+  epochs_ = static_cast<std::size_t>(epochs);
 }
 
 Tensor gather_rows(const Tensor& data, const std::vector<std::size_t>& rows) {

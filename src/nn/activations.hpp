@@ -1,13 +1,14 @@
 // Parameter-free layers: ReLU, Flatten, MaxPool2D.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/layer.hpp"
 
 namespace refit {
 
-/// Elementwise rectifier.
+/// Elementwise rectifier: y = x > 0 ? x : +0, so NaN and −0 give +0.
 class ReLU final : public Layer {
  public:
   explicit ReLU(std::string name) : Layer(std::move(name)) {}
@@ -17,7 +18,9 @@ class ReLU final : public Layer {
   [[nodiscard]] const char* kind() const override { return "relu"; }
 
  private:
-  std::vector<bool> mask_;
+  /// 1 where the forward input was > 0 (bytes, not vector<bool>: lanes
+  /// write disjoint ranges of it).
+  std::vector<std::uint8_t> mask_;
 };
 
 /// Collapse [N, ...] to [N, features].

@@ -34,13 +34,12 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
                             << shape_to_string(x.shape()));
   const std::size_t batch = x.dim(0);
   Tensor cols = im2col(x, geom_);
-  Tensor rows = store_->forward_matmul(cols);  // [N·OH·OW, OC], fused on RCS
-  add_row_vector(rows, bias_);
+  const Tensor rows = store_->forward_matmul(cols);  // [N·OH·OW, OC]
   if (train) {
     cached_cols_ = std::move(cols);
     cached_batch_ = batch;
   }
-  return rows_to_nchw(rows, batch, oc_, geom_.out_h(), geom_.out_w());
+  return rows_to_nchw(rows, batch, oc_, geom_.out_h(), geom_.out_w(), &bias_);
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {

@@ -34,7 +34,9 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Compute the layer output. `train` enables training-only behaviour.
+  /// Compute the layer output. `train` enables training-only behaviour:
+  /// caching what backward() needs. forward(x, false) must write no layer
+  /// state — Network::evaluate runs it concurrently on the pool lanes.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
   /// Propagate the output gradient; accumulates parameter gradients and
   /// returns the input gradient.

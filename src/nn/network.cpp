@@ -4,6 +4,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/thread_pool.hpp"
+#include "obs/trace.hpp"
+
 namespace refit {
 
 Layer& Network::add(std::unique_ptr<Layer> layer) {
@@ -51,23 +54,34 @@ Layer& Network::layer(std::size_t i) {
 }
 
 double Network::evaluate(const Tensor& inputs,
-                         const std::vector<std::uint8_t>& labels,
-                         std::size_t batch_size) {
+                         const std::vector<std::uint8_t>& labels) {
   const std::size_t n = inputs.dim(0);
   REFIT_CHECK(labels.size() == n && n > 0);
-  std::size_t correct = 0;
-  for (std::size_t begin = 0; begin < n; begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, n);
-    Tensor batch = slice_batch(inputs, begin, end);
-    Tensor logits = forward(batch, /*train=*/false);
-    const std::size_t rows = logits.dim(0), cols = logits.dim(1);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const float* row = logits.data() + i * cols;
-      const float* mx = std::max_element(row, row + cols);
-      if (static_cast<std::size_t>(mx - row) == labels[begin + i]) ++correct;
+  // The lanes only read the stores, so any repack happens here first.
+  for (MatrixLayer* ml : matrix_layers())
+    ml->weights().prepare_concurrent_forward();
+  const std::size_t shards = (n + kEvalShard - 1) / kEvalShard;
+  std::vector<std::size_t> correct(shards, 0);
+  obs::TraceSpan span("nn.evaluate", "nn");
+  parallel_for(shards, [&](std::size_t s0, std::size_t s1) {
+    for (std::size_t s = s0; s < s1; ++s) {
+      const std::size_t begin = s * kEvalShard;
+      const std::size_t end = std::min(begin + kEvalShard, n);
+      const Tensor logits =
+          forward(slice_batch(inputs, begin, end), /*train=*/false);
+      const std::size_t cols = logits.dim(1);
+      std::size_t hits = 0;
+      for (std::size_t i = 0; i < end - begin; ++i) {
+        const float* row = logits.data() + i * cols;
+        const float* mx = std::max_element(row, row + cols);
+        if (static_cast<std::size_t>(mx - row) == labels[begin + i]) ++hits;
+      }
+      correct[s] = hits;
     }
-  }
-  return static_cast<double>(correct) / static_cast<double>(n);
+  });
+  std::size_t total = 0;
+  for (const std::size_t c : correct) total += c;
+  return static_cast<double>(total) / static_cast<double>(n);
 }
 
 std::size_t Network::weight_count() {

@@ -41,6 +41,12 @@ class WeightStore {
   /// instead of matmul(x, effective()) purely for speed).
   [[nodiscard]] virtual Tensor forward_matmul(const Tensor& x);
 
+  /// Bring whatever forward_matmul reads up to date, so concurrent
+  /// forward_matmul calls from pool lanes (Network::evaluate's shards)
+  /// only read the store. Call on the caller before such a fan-out; a
+  /// no-op for backends that keep no read-out cache.
+  virtual void prepare_concurrent_forward() {}
+
   /// target += delta; entries with delta == 0 are *not* written to the
   /// device (this is what threshold training exploits to save endurance).
   virtual void apply_delta(const Tensor& delta) = 0;

@@ -37,6 +37,9 @@ TracerState& state() {
 // before the buffer exists); -1 → assign from the counter on first use.
 thread_local std::int64_t t_requested_tid = -1;
 
+// Set while the thread runs a pool chunk (Tracer::set_thread_muted).
+thread_local bool t_muted = false;
+
 struct ThreadBuf {
   std::uint32_t tid = 0;
   std::vector<TraceEvent> events;
@@ -104,6 +107,8 @@ void Tracer::set_thread_tid(std::uint32_t tid) {
   t_requested_tid = tid;
 }
 
+void Tracer::set_thread_muted(bool muted) { t_muted = muted; }
+
 std::vector<TraceEvent> Tracer::collect() const {
   TracerState& s = state();
   std::vector<TraceEvent> out;
@@ -156,7 +161,7 @@ void Tracer::reset() {
 }
 
 TraceSpan::TraceSpan(const char* name, const char* category) {
-  if (!Tracer::global().enabled()) return;
+  if (t_muted || !Tracer::global().enabled()) return;
   name_ = name;
   category_ = category;
   start_ns_ = now_ns();

@@ -53,6 +53,12 @@ class Tracer {
   /// index; unnamed threads get sequential ids (main thread first → 0).
   static void set_thread_tid(std::uint32_t tid);
 
+  /// Mute (or unmute) TraceSpans opened on the calling thread. The thread
+  /// pool mutes every thread while it runs a chunk, inline or pooled, so a
+  /// span opened inside a chunk is never recorded and traces do not
+  /// depend on the thread count.
+  static void set_thread_muted(bool muted);
+
   /// Merge every thread's buffer into one sorted event list. Caller must
   /// ensure no thread is concurrently recording (i.e. between, not
   /// inside, parallel_for calls).
@@ -72,7 +78,8 @@ class Tracer {
 };
 
 /// RAII span on the global tracer. Decides at construction: when tracing
-/// is disabled it never reads the clock and the destructor is a no-op.
+/// is disabled or the thread is muted it never reads the clock and the
+/// destructor is a no-op.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "");
@@ -98,6 +105,7 @@ class Tracer {
   [[nodiscard]] bool enabled() const { return false; }
   void emit_complete(const char*, const char*, std::uint64_t, std::uint64_t) {}
   static void set_thread_tid(std::uint32_t) {}
+  static void set_thread_muted(bool) {}
   [[nodiscard]] std::vector<TraceEvent> collect() const { return {}; }
   void write_chrome_json(std::ostream& os) const;
   void reset() {}

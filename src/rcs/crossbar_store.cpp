@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/serialize.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -374,8 +375,13 @@ Tensor CrossbarWeightStore::forward_matmul(const Tensor& x) {
   static obs::Counter flops_metric =
       obs::MetricsRegistry::instance().counter("tensor.gemm.flops", "flop");
   calls_metric.add();
-  refresh_packed_effective();
   const std::size_t m = x.dim(0), k = rows(), n = cols();
+  REFIT_CHECK_MSG(!ThreadPool::inside_chunk() ||
+                      (!any_pack_dirty_ &&
+                       packed_eff_.size() == gemm::packed_size(k, n)),
+                  "forward_matmul would repack the panel on a pool lane; "
+                  "call prepare_concurrent_forward() before the fan-out");
+  refresh_packed_effective();
   flops_metric.add(2 * m * k * n);
   obs::TraceSpan span("fused_forward", "rcs");
   Tensor y({m, n});

@@ -85,7 +85,11 @@ class CrossbarWeightStore final : public WeightStore {
   /// layout (tile-parallel, disjoint scatter); the multiply then runs the
   /// same deterministic micro-kernel as matmul(x, effective()), so the
   /// result is bit-identical to it at any thread count and permutation.
+  /// Inside a pool chunk the panel must already be current (throws
+  /// CheckError otherwise): a repack there would race with other lanes.
   [[nodiscard]] Tensor forward_matmul(const Tensor& x) override;
+  /// Repacks every stale tile on the caller (refresh_packed_effective).
+  void prepare_concurrent_forward() override { refresh_packed_effective(); }
   void apply_delta(const Tensor& delta) override;
   void apply_delta_full(const Tensor& delta) override;
   void assign(const Tensor& w) override;

@@ -23,6 +23,60 @@ void count_gemm_flops(std::size_t m, std::size_t k, std::size_t n) {
   flops.add(2 * m * k * n);
 }
 
+/// im2col for output row y of one image `img` ([C, H, W]): fills the ow
+/// patch rows at `block` (columns in (c, kh, kw) order), which must be
+/// zero-filled — padded taps are skipped, not written. K is the kernel
+/// size when fixed at compile time (0: read g.kernel), so the common 3×3
+/// case copies its three floats inline instead of calling memmove.
+template <std::size_t K>
+void im2col_row(const float* img, const ConvGeometry& g, std::size_t y,
+                std::size_t ow, float* block) {
+  const std::size_t k = K != 0 ? K : g.kernel;
+  const std::size_t stride = g.stride, pad = g.pad, ih = g.in_h, iw = g.in_w;
+  const std::size_t plen = g.patch_len();
+  // Output columns [x_lo, x_hi) read a window wholly inside the input row:
+  // x·stride ≥ pad and x·stride − pad + k ≤ in_w. Only the edges test kw.
+  const std::size_t x_lo = std::min(ow, (pad + stride - 1) / stride);
+  const std::size_t x_hi = std::max(
+      x_lo, iw + pad >= k ? std::min(ow, (iw + pad - k) / stride + 1) : 0);
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t kh = 0; kh < k; ++kh) {
+      const std::size_t yy = y * stride + kh;  // in_y + pad
+      if (yy < pad || yy - pad >= ih) continue;
+      const float* src = img + (c * ih + yy - pad) * iw;
+      float* dst = block + (c * k + kh) * k;
+      const auto edge = [&](std::size_t x) {
+        for (std::size_t kw = 0; kw < k; ++kw) {
+          const std::size_t xx = x * stride + kw;  // in_x + pad
+          if (xx >= pad && xx - pad < iw) dst[x * plen + kw] = src[xx - pad];
+        }
+      };
+      for (std::size_t x = 0; x < x_lo; ++x) edge(x);
+      for (std::size_t x = x_lo; x < x_hi; ++x) {
+        const float* s = src + x * stride - pad;
+        for (std::size_t kw = 0; kw < k; ++kw) dst[x * plen + kw] = s[kw];
+      }
+      for (std::size_t x = x_hi; x < ow; ++x) edge(x);
+    }
+  }
+}
+
+/// dst[j, i] = src[i, j] (+ add[j] when given) for a row-major src[r, c]:
+/// one image of the conv reorders. Writes are contiguous. With `add` each
+/// element takes the one float add add_row_vector did; without it values
+/// are copied, so −0 and NaN payloads survive.
+void transpose_image(const float* src, std::size_t r, std::size_t c,
+                     const float* add, float* dst) {
+  for (std::size_t j = 0; j < c; ++j, dst += r) {
+    if (add != nullptr) {
+      const float b = add[j];
+      for (std::size_t i = 0; i < r; ++i) dst[i] = src[i * c + j] + b;
+    } else {
+      for (std::size_t i = 0; i < r; ++i) dst[i] = src[i * c + j];
+    }
+  }
+}
+
 }  // namespace
 
 // All three GEMMs run on the packed-panel core in tensor/gemm.hpp: the
@@ -128,40 +182,22 @@ Tensor im2col(const Tensor& input, const ConvGeometry& g) {
               input.dim(3) == g.in_w);
   const std::size_t oh = g.out_h(), ow = g.out_w();
   const std::size_t plen = g.patch_len();
-  Tensor cols({batch * oh * ow, plen});
+  const std::size_t image = g.in_channels * g.in_h * g.in_w;
+  Tensor cols({batch * oh * ow, plen});  // zero-filled: padding stays +0
+  const float* ip = input.data();
   float* cp = cols.data();
-  // Each image owns a disjoint block of patch rows — batch-parallel, with a
-  // grain cutoff so tiny shapes run inline instead of paying pool fan-out.
-  parallel_for_grained(batch, oh * ow * plen,
-                       [&](std::size_t n0, std::size_t n1) {
-  for (std::size_t n = n0; n < n1; ++n) {
-    for (std::size_t y = 0; y < oh; ++y) {
-      for (std::size_t x = 0; x < ow; ++x) {
-        float* dst = cp + ((n * oh + y) * ow + x) * plen;
-        std::size_t idx = 0;
-        for (std::size_t c = 0; c < g.in_channels; ++c) {
-          for (std::size_t kh = 0; kh < g.kernel; ++kh) {
-            const std::ptrdiff_t in_y =
-                static_cast<std::ptrdiff_t>(y * g.stride + kh) -
-                static_cast<std::ptrdiff_t>(g.pad);
-            for (std::size_t kw = 0; kw < g.kernel; ++kw, ++idx) {
-              const std::ptrdiff_t in_x =
-                  static_cast<std::ptrdiff_t>(x * g.stride + kw) -
-                  static_cast<std::ptrdiff_t>(g.pad);
-              if (in_y < 0 || in_x < 0 ||
-                  in_y >= static_cast<std::ptrdiff_t>(g.in_h) ||
-                  in_x >= static_cast<std::ptrdiff_t>(g.in_w)) {
-                dst[idx] = 0.0f;
-              } else {
-                dst[idx] = input.at4(n, c, static_cast<std::size_t>(in_y),
-                                     static_cast<std::size_t>(in_x));
-              }
-            }
-          }
-        }
+  // Each (image, output row) owns a disjoint block of ow patch rows.
+  parallel_for_grained(batch * oh, ow * plen,
+                       [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      const float* img = ip + (r / oh) * image;
+      float* block = cp + r * ow * plen;
+      if (g.kernel == 3) {
+        im2col_row<3>(img, g, r % oh, ow, block);
+      } else {
+        im2col_row<0>(img, g, r % oh, ow, block);
       }
     }
-  }
   });
   return cols;
 }
@@ -208,32 +244,36 @@ Tensor col2im(const Tensor& cols, std::size_t batch, const ConvGeometry& g) {
 }
 
 Tensor rows_to_nchw(const Tensor& rows, std::size_t batch, std::size_t oc,
-                    std::size_t oh, std::size_t ow) {
+                    std::size_t oh, std::size_t ow, const Tensor* bias) {
   REFIT_CHECK(rows.rank() == 2 && rows.dim(0) == batch * oh * ow &&
               rows.dim(1) == oc);
+  REFIT_CHECK(bias == nullptr || (bias->rank() == 1 && bias->dim(0) == oc));
   Tensor out({batch, oc, oh, ow});
+  const std::size_t plane = oh * ow;
   const float* rp = rows.data();
-  for (std::size_t n = 0; n < batch; ++n)
-    for (std::size_t y = 0; y < oh; ++y)
-      for (std::size_t x = 0; x < ow; ++x) {
-        const float* row = rp + ((n * oh + y) * ow + x) * oc;
-        for (std::size_t c = 0; c < oc; ++c) out.at4(n, c, y, x) = row[c];
-      }
+  const float* bp = bias != nullptr ? bias->data() : nullptr;
+  float* op = out.data();
+  // Per image: [plane, oc] → [oc, plane]. Images are disjoint.
+  parallel_for_grained(batch, plane * oc, [&](std::size_t n0, std::size_t n1) {
+    for (std::size_t n = n0; n < n1; ++n)
+      transpose_image(rp + n * plane * oc, plane, oc, bp, op + n * plane * oc);
+  });
   return out;
 }
 
 Tensor nchw_to_rows(const Tensor& t) {
   REFIT_CHECK(t.rank() == 4);
-  const std::size_t batch = t.dim(0), oc = t.dim(1), oh = t.dim(2),
-                    ow = t.dim(3);
-  Tensor rows({batch * oh * ow, oc});
+  const std::size_t batch = t.dim(0), oc = t.dim(1);
+  const std::size_t plane = t.dim(2) * t.dim(3);
+  Tensor rows({batch * plane, oc});
+  const float* tp = t.data();
   float* rp = rows.data();
-  for (std::size_t n = 0; n < batch; ++n)
-    for (std::size_t y = 0; y < oh; ++y)
-      for (std::size_t x = 0; x < ow; ++x) {
-        float* row = rp + ((n * oh + y) * ow + x) * oc;
-        for (std::size_t c = 0; c < oc; ++c) row[c] = t.at4(n, c, y, x);
-      }
+  // Per image: [oc, plane] → [plane, oc]. Images are disjoint.
+  parallel_for_grained(batch, plane * oc, [&](std::size_t n0, std::size_t n1) {
+    for (std::size_t n = n0; n < n1; ++n)
+      transpose_image(tp + n * plane * oc, oc, plane, nullptr,
+                      rp + n * plane * oc);
+  });
   return rows;
 }
 

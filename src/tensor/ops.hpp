@@ -57,9 +57,12 @@ Tensor im2col(const Tensor& input, const ConvGeometry& g);
 /// (accumulating overlapping windows). Inverse of im2col's scatter pattern.
 Tensor col2im(const Tensor& cols, std::size_t batch, const ConvGeometry& g);
 
-/// Reorder a [N·OH·OW, OC] row matrix into an [N, OC, OH, OW] tensor.
+/// Reorder a [N·OH·OW, OC] row matrix into an [N, OC, OH, OW] tensor,
+/// adding bias[c] to channel c when `bias` ([OC]) is given — the same one
+/// float add per element as add_row_vector on the rows.
 Tensor rows_to_nchw(const Tensor& rows, std::size_t batch, std::size_t oc,
-                    std::size_t oh, std::size_t ow);
+                    std::size_t oh, std::size_t ow,
+                    const Tensor* bias = nullptr);
 
 /// Inverse of rows_to_nchw.
 Tensor nchw_to_rows(const Tensor& t);

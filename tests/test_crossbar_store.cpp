@@ -254,6 +254,32 @@ TEST(CrossbarStore, FusedForwardBitExactUnderInjectedFaults) {
   }
 }
 
+TEST(CrossbarStore, FusedForwardOnPoolLaneNeedsCurrentPanel) {
+  PoolGuard pool_guard;
+  CrossbarWeightStore store(clean_config(), ramp(40, 24, 0.03f), Rng(27));
+  Rng rng(28);
+  const Tensor x = Tensor::randn({4, 40}, rng);
+  const Tensor ref = store.forward_matmul(x);  // repacked on the caller
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::set_global_threads(threads);
+    store.invalidate();
+    // Stale panel: a forward inside a pool chunk would repack it while
+    // other lanes read it, so it throws instead (inline or pooled).
+    EXPECT_THROW(parallel_for(4,
+                              [&](std::size_t, std::size_t) {
+                                (void)store.forward_matmul(x);
+                              }),
+                 CheckError);
+    store.prepare_concurrent_forward();
+    std::vector<Tensor> out(4);
+    parallel_for(4, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) out[i] = store.forward_matmul(x);
+    });
+    for (const Tensor& y : out) EXPECT_TRUE(same_bits(y, ref));
+  }
+}
+
 TEST(CrossbarStore, FusedForwardTracksWritesAndPermutations) {
   PoolGuard pool_guard;
   const Tensor init = ramp(32, 32, 0.02f);

@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "data/synthetic.hpp"
 
 namespace refit {
@@ -69,6 +76,56 @@ TEST(Batcher, TooLargeBatchThrows) {
   Rng rng(4);
   const Dataset d = tiny_dataset();
   EXPECT_THROW(Batcher(d, 11, rng), CheckError);
+}
+
+/// A batcher checkpoint stream with the given fields.
+std::string batcher_stream(const std::vector<std::uint64_t>& order,
+                           std::uint64_t cursor, std::uint64_t epochs) {
+  std::ostringstream os;
+  ser::write_vec(os, order);
+  ser::write_pod<std::uint64_t>(os, cursor);
+  ser::write_pod<std::uint64_t>(os, epochs);
+  return os.str();
+}
+
+/// The batcher's checkpoint bytes (its whole iteration state).
+std::string saved(const Batcher& b) {
+  std::ostringstream os;
+  b.save(os);
+  return os.str();
+}
+
+TEST(Batcher, LoadRejectsBadStateAndLeavesBatcherUnchanged) {
+  Rng rng(5);
+  const Dataset d = tiny_dataset();
+  Batcher b(d, 4, rng);
+  b.next();
+  const std::string before = saved(b);
+  std::vector<std::uint64_t> ident(10);
+  std::iota(ident.begin(), ident.end(), 0);
+  std::vector<std::uint64_t> repeated = ident;
+  repeated[3] = 7;
+  std::vector<std::uint64_t> out_of_range = ident;
+  out_of_range[9] = 10;
+  const std::string bad[] = {
+      // A cursor near 2^64 would wrap cursor + batch_size in next().
+      batcher_stream(ident, std::numeric_limits<std::uint64_t>::max(), 0),
+      batcher_stream(ident, 11, 0),
+      batcher_stream(repeated, 0, 0),
+      batcher_stream(out_of_range, 0, 0),
+      batcher_stream({0, 1, 2}, 0, 0),
+  };
+  for (const std::string& bytes : bad) {
+    std::istringstream is(bytes);
+    EXPECT_THROW(b.load(is), CheckError);
+    EXPECT_EQ(saved(b), before);
+  }
+  // The boundary cursor is valid: next() starts a new epoch.
+  std::istringstream ok(batcher_stream(ident, 10, 2));
+  b.load(ok);
+  EXPECT_EQ(saved(b), batcher_stream(ident, 10, 2));
+  EXPECT_EQ(b.next().images.dim(0), 4u);
+  EXPECT_EQ(b.epochs_completed(), 3u);
 }
 
 TEST(GatherRows, PicksRows) {

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "inline_call_probe.hpp"
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "rcs/rcs_system.hpp"
 
 namespace refit {
 namespace {
@@ -149,9 +155,91 @@ TEST(Evaluate, MatchesAccuracy) {
   Tensor x;
   std::vector<std::uint8_t> y;
   make_toy(rng, 50, x, y);
-  const double e = net.evaluate(x, y, 16);
+  const double e = net.evaluate(x, y);
   const double a = accuracy(net.forward(x, false), y);
   EXPECT_NEAR(e, a, 1e-12);
+}
+
+/// Argmax of each row of a [n, classes] logits tensor.
+std::vector<std::uint8_t> row_argmax(const Tensor& logits) {
+  std::vector<std::uint8_t> out(logits.dim(0));
+  const std::size_t cols = logits.dim(1);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const float* row = logits.data() + i * cols;
+    out[i] = static_cast<std::uint8_t>(std::max_element(row, row + cols) - row);
+  }
+  return out;
+}
+
+/// Restores the 1-lane global pool however the test exits.
+struct PoolGuard {
+  ~PoolGuard() { ThreadPool::set_global_threads(1); }
+};
+
+TEST(Network, ShardedEvaluateMatchesSerial) {
+  const PoolGuard guard;
+  // 61 samples: seven full shards and a 5-sample tail.
+  constexpr std::size_t kSamples = 61;
+  static_assert(kSamples % kEvalShard != 0);
+  Rng drng(21);
+  const Tensor x = Tensor::randn({kSamples, 3, 16, 16}, drng);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::set_global_threads(threads);
+    RcsConfig rc;
+    rc.tile_rows = 32;
+    rc.tile_cols = 32;
+    rc.inject_fabrication = true;
+    rc.fabrication.fraction = 0.2;
+    RcsSystem rcs(rc, Rng(22));
+    Rng nrng(23);
+    Network net =
+        make_vgg_mini(VggMiniConfig{}, software_store_factory(), rcs.factory(),
+                      nrng);
+    ASSERT_EQ(rcs.stores().size(), 3u);
+    (void)net.forward(slice_batch(x, 0, 1));  // every panel packed
+    // Pin a few more cells through tile(): the evaluation must see the new
+    // read-out, repacked on the caller before the fan-out.
+    for (CrossbarWeightStore* store : rcs.stores()) {
+      for (std::size_t r = 0; r < 8; ++r)
+        store->tile(0, 0).force_fault(r, r, FaultKind::kStuckAt1);
+    }
+    const auto stale_panels = [&rcs] {
+      for (CrossbarWeightStore* store : rcs.stores()) store->invalidate();
+    };
+    stale_panels();
+    // Reference: one sample at a time, on the caller.
+    std::vector<std::uint8_t> ref(kSamples);
+    std::vector<float> ref_logits;
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      const Tensor logits = net.forward(slice_batch(x, i, i + 1));
+      ref[i] = row_argmax(logits)[0];
+      ref_logits.insert(ref_logits.end(), logits.data(),
+                        logits.data() + logits.numel());
+    }
+    // A sample's logits do not depend on which samples share its batch.
+    const Tensor whole = net.forward(x);
+    ASSERT_EQ(whole.numel(), ref_logits.size());
+    EXPECT_EQ(std::memcmp(whole.data(), ref_logits.data(),
+                          ref_logits.size() * sizeof(float)),
+              0);
+    // Labels = the reference argmax: accuracy 1 iff every sample agrees.
+    stale_panels();  // the reference forwards above repacked them
+    EXPECT_EQ(net.evaluate(x, ref), 1.0);
+    std::vector<std::uint8_t> labels(kSamples);
+    for (std::size_t i = 0; i < kSamples; ++i)
+      labels[i] = static_cast<std::uint8_t>(i % 10);
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < kSamples; ++i) hits += ref[i] == labels[i];
+    const InlineCallProbe probe;  // panels current: no repack fan-out
+    EXPECT_EQ(net.evaluate(x, labels),
+              static_cast<double>(hits) / static_cast<double>(kSamples));
+    // One fork-join per evaluation: nested ops run inline on the lanes.
+    if (probe.available()) {
+      EXPECT_EQ(probe.calls(), 1u);
+      EXPECT_EQ(probe.inline_calls(), threads == 1 ? 1u : 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -372,7 +372,7 @@ std::string run_and_trace(std::size_t threads) {
 
   SyntheticConfig dc;
   dc.train_size = 64;
-  dc.test_size = 32;
+  dc.test_size = 48;
   Rng drng(1);
   const Dataset data = make_synthetic_mnist(dc, drng);
 
@@ -390,7 +390,10 @@ std::string run_and_trace(std::size_t threads) {
   flow.iterations = 6;
   flow.batch_size = 4;
   flow.eval_period = 3;
-  flow.eval_samples = 32;
+  // Six evaluation shards, one a 4-sample tail: at 4 threads every lane
+  // runs shards, and their spans must stay muted.
+  flow.eval_samples = 44;
+  EXPECT_GE(flow.eval_samples, 4 * kEvalShard);
   flow.threshold_training = true;
   flow.detection_enabled = true;
   flow.detection_period = 3;
@@ -424,6 +427,15 @@ TEST_F(ObsTest, GoldenTraceIsByteStableAcrossRunsAndThreadCounts) {
   obs::ManualClock c4(1000);
   obs::set_clock(&c4);
   const std::string t4 = run_and_trace(4);
+  // Every span sits on the caller's track, the sharded evaluations' too.
+  const std::vector<obs::TraceEvent> events = Tracer::global().collect();
+  ASSERT_FALSE(events.empty());
+  std::size_t evaluations = 0;
+  for (const obs::TraceEvent& ev : events) {
+    EXPECT_EQ(ev.tid, events.front().tid) << ev.name;
+    evaluations += ev.name == "nn.evaluate" ? 1 : 0;
+  }
+  EXPECT_EQ(evaluations, 4u);  // one per evaluation the engine runs
 
   EXPECT_FALSE(t1.empty());
   EXPECT_TRUE(valid_json(t1));

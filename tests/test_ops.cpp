@@ -1,5 +1,6 @@
 // Unit tests for tensor kernels (src/tensor/ops.hpp): GEMM variants,
-// im2col/col2im adjointness, pooling.
+// im2col/col2im adjointness, pooling, and the conv glue kernels (im2col,
+// the reorders, ReLU) against naive loops.
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/activations.hpp"
 #include "tensor/gemm.hpp"
 
 namespace refit {
@@ -437,6 +439,113 @@ TEST(GemmIsa, OverrideRestoresDispatch) {
     EXPECT_EQ(gemm::detail::active_isa(), Isa::kBaseline);
   }
   EXPECT_EQ(gemm::detail::active_isa(), gemm::detail::host_isa());
+}
+
+// ---- Conv glue kernels against naive loops --------------------------------
+
+/// Random values with NaN, −0.0 and +0.0 sprinkled in.
+Tensor glue_input(const Shape& shape, Rng& rng) {
+  Tensor t = Tensor::randn(shape, rng);
+  const float special[] = {std::numeric_limits<float>::quiet_NaN(), -0.0f,
+                           0.0f};
+  for (std::size_t i = 0; i < t.numel(); i += 7) t[i] = special[i % 3];
+  return t;
+}
+
+/// The textbook unfold: one bounds test per patch element.
+Tensor naive_im2col(const Tensor& in, const ConvGeometry& g) {
+  const std::size_t batch = in.dim(0), oh = g.out_h(), ow = g.out_w();
+  Tensor cols({batch * oh * ow, g.patch_len()});
+  for (std::size_t n = 0; n < batch; ++n)
+    for (std::size_t y = 0; y < oh; ++y)
+      for (std::size_t x = 0; x < ow; ++x) {
+        std::size_t idx = 0;
+        for (std::size_t c = 0; c < g.in_channels; ++c)
+          for (std::size_t kh = 0; kh < g.kernel; ++kh)
+            for (std::size_t kw = 0; kw < g.kernel; ++kw, ++idx) {
+              const long iy = static_cast<long>(y * g.stride + kh) -
+                              static_cast<long>(g.pad);
+              const long ix = static_cast<long>(x * g.stride + kw) -
+                              static_cast<long>(g.pad);
+              const bool inside = iy >= 0 && ix >= 0 &&
+                                  iy < static_cast<long>(g.in_h) &&
+                                  ix < static_cast<long>(g.in_w);
+              cols.at((n * oh + y) * ow + x, idx) =
+                  inside ? in.at4(n, c, static_cast<std::size_t>(iy),
+                                  static_cast<std::size_t>(ix))
+                         : 0.0f;
+            }
+      }
+  return cols;
+}
+
+TEST(Ops, ConvGlueMatchesNaive) {
+  PoolGuard pool_guard;
+  struct Case {
+    std::size_t batch, c, h, w, k, stride, pad, oc;
+  };
+  const Case cases[] = {
+      {16, 8, 20, 17, 3, 1, 1, 48},  // every kernel fans out at 4 threads
+      {5, 3, 11, 7, 3, 2, 0, 6},     // stride 2, no pad, in_h != in_w
+      {3, 2, 9, 13, 5, 2, 2, 6},     // stride 2, pad 2
+      {2, 3, 3, 4, 5, 1, 2, 6},      // kernel wider than the input
+      {4, 1, 6, 5, 1, 1, 0, 6},      // 1×1 kernel
+  };
+  Rng rng(31);
+  for (const Case& cs : cases) {
+    const ConvGeometry g{cs.c, cs.h, cs.w, cs.k, cs.stride, cs.pad};
+    const Tensor in = glue_input({cs.batch, cs.c, cs.h, cs.w}, rng);
+    const std::size_t oh = g.out_h(), ow = g.out_w(), oc = cs.oc;
+    const Tensor rows = glue_input({cs.batch * oh * ow, oc}, rng);
+    Tensor bias = glue_input({oc}, rng);
+    bias[1] = 0.0f;  // bias +0 must still turn −0 into +0, as an add does
+    // rows_to_nchw / nchw_to_rows reference: add_row_vector, then at4.
+    Tensor biased = rows;
+    add_row_vector(biased, bias);
+    Tensor nchw({cs.batch, oc, oh, ow}), nchw_biased({cs.batch, oc, oh, ow});
+    for (std::size_t n = 0; n < cs.batch; ++n)
+      for (std::size_t y = 0; y < oh; ++y)
+        for (std::size_t x = 0; x < ow; ++x)
+          for (std::size_t c = 0; c < oc; ++c) {
+            const std::size_t r = (n * oh + y) * ow + x;
+            nchw.at4(n, c, y, x) = rows.at(r, c);
+            nchw_biased.at4(n, c, y, x) = biased.at(r, c);
+          }
+    const Tensor cols_ref = naive_im2col(in, g);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "case " << cs.h << "x" << cs.w
+                                      << " k" << cs.k << " s" << cs.stride
+                                      << " p" << cs.pad << ", " << threads
+                                      << " threads");
+      ThreadPool::set_global_threads(threads);
+      EXPECT_TRUE(same_bits(im2col(in, g), cols_ref));
+      EXPECT_TRUE(same_bits(rows_to_nchw(rows, cs.batch, oc, oh, ow),
+                                 nchw));
+      EXPECT_TRUE(same_bits(
+          rows_to_nchw(rows, cs.batch, oc, oh, ow, &bias), nchw_biased));
+      EXPECT_TRUE(same_bits(nchw_to_rows(nchw), rows));
+    }
+  }
+
+  // ReLU: y = x > 0 ? x : +0 (NaN and −0 → +0); backward passes the
+  // gradient where x > 0 and writes +0 elsewhere (a NaN gradient passes).
+  const Tensor x = glue_input({4, 8, 64, 65}, rng);  // > 2 pool grains
+  const Tensor gy = glue_input(x.shape(), rng);
+  Tensor y_ref(x.shape()), gx_ref(x.shape());
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    if (x[i] > 0.0f) {
+      y_ref[i] = x[i];
+      gx_ref[i] = gy[i];
+    }
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::set_global_threads(threads);
+    ReLU relu("relu");
+    EXPECT_TRUE(same_bits(relu.forward(x, /*train=*/false), y_ref));
+    EXPECT_TRUE(same_bits(relu.forward(x, /*train=*/true), y_ref));
+    EXPECT_TRUE(same_bits(relu.backward(gy), gx_ref));
+  }
 }
 
 }  // namespace
