@@ -17,7 +17,8 @@
 #   obs-report  timeseries/event JSONL byte-identical at REFIT_THREADS=1 vs 4
 #               under --manual-clock; refit-report renders the HTML dashboard;
 #               refit-bench-diff gates fresh REFIT_FAST runs vs BENCH_*.json
-#   asan-ubsan  full suite under AddressSanitizer + UBSan
+#   asan-ubsan  full suite under AddressSanitizer + UBSan (with
+#               float-cast-overflow, which GCC leaves out of "undefined")
 #   tsan        backend, device, detector, GEMM, fused-forward, store-model
 #               and pooled threshold tests under ThreadSanitizer
 #               (REFIT_THREADS=4)

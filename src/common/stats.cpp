@@ -28,20 +28,18 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void ConfusionCounts::add(bool actual_faulty, bool predicted_faulty) {
-  if (actual_faulty) {
-    if (predicted_faulty) {
-      ++tp;
-    } else {
-      ++fn;
-    }
-  } else {
-    if (predicted_faulty) {
-      ++fp;
-    } else {
-      ++tn;
-    }
-  }
+ConfusionCounts ConfusionCounts::from_totals(std::uint64_t cells,
+                                             std::uint64_t actual,
+                                             std::uint64_t predicted,
+                                             std::uint64_t both) {
+  REFIT_CHECK(both <= actual && both <= predicted &&
+              actual + predicted - both <= cells);
+  ConfusionCounts cc;
+  cc.tp = both;
+  cc.fp = predicted - both;
+  cc.fn = actual - both;
+  cc.tn = cells - actual - predicted + both;
+  return cc;
 }
 
 ConfusionCounts& ConfusionCounts::operator+=(const ConfusionCounts& o) {

@@ -38,7 +38,18 @@ struct ConfusionCounts {
   std::uint64_t fn = 0;  ///< faulty, predicted fault-free
   std::uint64_t tn = 0;  ///< fault-free, predicted fault-free
 
-  void add(bool actual_faulty, bool predicted_faulty);
+  /// Count one cell. Branch-free: detection scores call this per cell.
+  void add(bool actual_faulty, bool predicted_faulty) {
+    tp += static_cast<std::uint64_t>(actual_faulty && predicted_faulty);
+    fp += static_cast<std::uint64_t>(!actual_faulty && predicted_faulty);
+    fn += static_cast<std::uint64_t>(actual_faulty && !predicted_faulty);
+    tn += static_cast<std::uint64_t>(!actual_faulty && !predicted_faulty);
+  }
+  /// The counts of `cells` cells of which `actual` are faulty, `predicted`
+  /// are predicted faulty and `both` are both.
+  static ConfusionCounts from_totals(std::uint64_t cells, std::uint64_t actual,
+                                     std::uint64_t predicted,
+                                     std::uint64_t both);
   ConfusionCounts& operator+=(const ConfusionCounts& o);
 
   /// TP / (TP + FP); 1.0 when no positives were predicted.

@@ -1,6 +1,7 @@
 // On-line quiescent-voltage fault detector, paper §4 (see quiescent_detector.hpp).
 #include "detect/quiescent_detector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -19,15 +20,16 @@ namespace {
 /// a store of a few full tiles fans out across the pool.
 constexpr std::size_t kDetectWorkPerCell = 64;
 
-/// Visit the lines whose `any` flag is set, in ascending order, in groups
-/// of at most `per_cycle` — one group per voltage-application cycle.
+/// Visit the lines whose CSR range [begin[i], begin[i+1]) is non-empty,
+/// in ascending order, in groups of at most `per_cycle` — one group per
+/// voltage-application cycle.
 template <typename Cycle>
-void for_each_group(const std::vector<std::uint8_t>& any,
+void for_each_group(const std::vector<std::uint32_t>& begin,
                     std::size_t per_cycle, std::vector<std::size_t>& group,
                     Cycle&& cycle) {
   group.clear();
-  for (std::size_t i = 0; i < any.size(); ++i) {
-    if (any[i] == 0) continue;
+  for (std::size_t i = 0; i + 1 < begin.size(); ++i) {
+    if (begin[i + 1] == begin[i]) continue;
     group.push_back(i);
     if (group.size() == per_cycle) {
       cycle(group);
@@ -49,171 +51,235 @@ void add_counters(DetectionOutcome& a, const DetectionOutcome& b) {
 }  // namespace
 
 struct QuiescentVoltageDetector::Workspace {
-  std::vector<int> stored;  ///< read-out level per cell (the reference)
-  std::vector<std::uint8_t> row_any;  ///< row holds a candidate
-  std::vector<std::uint8_t> col_any;  ///< column holds a candidate
-  std::vector<std::size_t> group;     ///< lines driven in the current cycle
-  DecodeInput din;                    ///< candidate mask + CSR segments
+  // Per pass; run_pass rewrites each before reading it.
+  std::vector<int> level;  ///< one row's read-out levels
+  /// Reference contribution per cell: (read-out + pulse on candidates)
+  /// × attenuation × level gap — what the controller expects it to add.
+  std::vector<double> reference;
+  std::vector<std::uint32_t> cand_col;   ///< candidate k's column
+  std::vector<std::uint32_t> row_begin;  ///< row r's candidates: CSR offsets
+  std::vector<std::uint32_t> col_begin;  ///< column c's slice of by_col
+  std::vector<std::uint32_t> by_col;     ///< candidates by column, row-sorted
+  std::vector<std::uint32_t> by_col_row; ///< by_col[j]'s row
+  std::vector<std::uint32_t> cursor;     ///< per-line position while grouping
+  std::vector<std::size_t> group;        ///< lines driven in the current cycle
+  std::vector<double> expected;          ///< per output line: reference sum
+  std::vector<double> measured;          ///< per output line: analog read-out
+  DecodeInput din;                       ///< segments in candidate space
+  SegmentDecoder decoder;
+  // Per detect_into(); tile-shaped, row-major.
+  std::vector<FaultKind> predicted;
+  std::vector<FaultKind> soft;   ///< classify_soft only
+  std::vector<FaultKind> truth;  ///< classify_soft only
 };
+
+QuiescentVoltageDetector::Workspace&
+QuiescentVoltageDetector::lane_workspace() {
+  // One per thread, like the GEMM panel buffers: detect_store's lanes each
+  // reuse theirs across tiles and rounds, so a pass allocates nothing once
+  // the buffers have grown to the tile size.
+  thread_local Workspace ws;
+  return ws;
+}
 
 void QuiescentVoltageDetector::run_pass(Crossbar& xbar, int stuck_level,
                                         int pulse, Workspace& ws,
                                         DetectionOutcome& out) const {
   const std::size_t rows = xbar.rows(), cols = xbar.cols();
-  const std::size_t levels = xbar.config().levels;
+  const int levels = static_cast<int>(xbar.config().levels);
   const double gap = xbar.config().level_gap();
   const auto lm1 = static_cast<double>(levels - 1);
-  std::vector<int>& stored = ws.stored;
-  std::vector<std::uint8_t>& candidate = ws.din.candidate;
+  const double delta = pulse * gap;
 
   // Steps 1–2: read the crossbar into the off-chip reference and choose
-  // the candidates in one sweep. Even without §4.3's selected-cell mode
-  // the controller knows the stored values, so cells already saturated at
-  // the pulse's end of the range are excluded — they cannot respond to the
-  // write and would otherwise be guaranteed false positives.
-  ws.row_any.assign(rows, 0);
-  ws.col_any.assign(cols, 0);
-  std::size_t candidate_count = 0;
+  // the candidates in a branch-free sweep. A candidate's level lies in
+  // [lo, hi]: the stuck level with §4.3's selected-cell testing; otherwise
+  // any level the pulse can move — the controller knows the stored values,
+  // so cells already saturated at the pulse's end of the range are
+  // excluded (they cannot respond and would be guaranteed false
+  // positives). Crossbar::kNoLevel lies below every range. A candidate's
+  // reference already includes its pulse. Candidates are numbered k in
+  // row-major order; row_begin indexes them by row.
+  const int lo = cfg_.selected_cells_only ? stuck_level : (pulse > 0 ? 0 : 1);
+  const int hi = cfg_.selected_cells_only
+                     ? stuck_level
+                     : (pulse > 0 ? levels - 2 : levels - 1);
+  const auto width = static_cast<unsigned>(hi - lo);
+  ws.level.resize(cols);
+  ws.reference.resize(rows * cols);
+  ws.cand_col.resize(rows * cols);
+  ws.row_begin.resize(rows + 1);
+  ws.col_begin.assign(cols + 1, 0);  // column counts first, offsets below
+  std::uint32_t m = 0;
+  std::uint32_t* cand_col = ws.cand_col.data();
+  std::uint32_t* col_count = ws.col_begin.data() + 1;
+  int* level = ws.level.data();
   for (std::size_t r = 0; r < rows; ++r) {
+    ws.row_begin[r] = m;
+    double* reference = ws.reference.data() + r * cols;
+    xbar.read_levels(r, level);
     for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t i = r * cols + c;
-      const int level = xbar.read_level(r, c);
-      stored[i] = level;
-      const bool can_respond = pulse > 0
-                                   ? level < static_cast<int>(levels) - 1
-                                   : level > 0;
-      const bool is_candidate =
-          cfg_.selected_cells_only ? level == stuck_level : can_respond;
-      candidate[i] = is_candidate ? 1 : 0;
-      ws.row_any[r] |= candidate[i];
-      ws.col_any[c] |= candidate[i];
-      candidate_count += candidate[i];
+      const bool cand = static_cast<unsigned>(level[c] - lo) <= width;
+      const int probe = level[c] + pulse * static_cast<int>(cand);
+      reference[c] = xbar.attenuation(r, c) * probe * gap;
+      cand_col[m] = static_cast<std::uint32_t>(c);
+      m += static_cast<std::uint32_t>(cand);
+      col_count[c] += static_cast<std::uint32_t>(cand);
     }
   }
-  if (candidate_count == 0) return;
-  out.cells_tested += candidate_count;
+  ws.row_begin[rows] = m;
+  if (m == 0) return;
+  out.cells_tested += m;
+  // Group the candidates by column as well (a counting sort keeps each
+  // column's list in row order).
+  for (std::size_t c = 0; c < cols; ++c) ws.col_begin[c + 1] += ws.col_begin[c];
+  ws.cursor.assign(ws.col_begin.begin(), ws.col_begin.end() - 1);
+  ws.by_col.resize(m);
+  ws.by_col_row.resize(m);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::uint32_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
+      const std::uint32_t j = ws.cursor[ws.cand_col[k]]++;
+      ws.by_col[j] = k;
+      ws.by_col_row[j] = static_cast<std::uint32_t>(r);
+    }
+  }
 
-  // Step 3: write the ±δw pulse to every candidate.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (candidate[r * cols + c] == 0) continue;
-      xbar.write(r, c, xbar.conductance(r, c) + pulse * gap);
-      ++out.device_writes;
+  // Step 3: write the ±δw pulse to every candidate, in row-major order
+  // (each crossbar's RNG draws follow this order).
+  const auto pulse_candidates = [&](double step) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::uint32_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
+        const std::size_t c = ws.cand_col[k];
+        xbar.write(r, c, xbar.conductance(r, c) + step);
+      }
     }
-  }
+    out.device_writes += m;
+  };
+  pulse_candidates(delta);
 
   // Step 4/5: measure both directions. The comparator works in analog
   // volts: the reference is computed from the stored levels (including
   // each cell's IR-drop attenuation, which the controller calibrates for),
   // digitized, and reduced modulo the divisor.
-  const std::size_t divisor = cfg_.modulo_divisor;
-  auto residue_of = [&](double expected_analog, double measured_analog) {
+  const auto divisor = static_cast<long long>(cfg_.modulo_divisor);
+  const auto residue_of = [&](double expected_analog,
+                              double measured_analog) -> std::size_t {
     // SA0 pass (pulse +1): stuck cells create a deficit; SA1 pass: surplus.
     const double diff_levels =
         (pulse > 0 ? expected_analog - measured_analog
                    : measured_analog - expected_analog) *
         lm1;
-    long long diff = std::llround(diff_levels);
-    const auto d = static_cast<long long>(divisor);
-    diff %= d;
-    if (diff < 0) diff += d;
+    // A NaN cell makes its group's sums NaN. A difference that is not a
+    // count at all reads as residue 0: no evidence of stuck cells.
+    if (!(std::fabs(diff_levels) < 0x1p62)) return 0;
+    long long diff =
+        static_cast<long long>(round_half_away(diff_levels)) % divisor;
+    if (diff < 0) diff += divisor;
     return static_cast<std::size_t>(diff);
   };
+  // Each cycle reads every output line at once; the reference sums use
+  // one accumulator per line too, adding the driven lines in order.
+  const double* reference = ws.reference.data();
+  ws.expected.resize(std::max(rows, cols));
+  ws.measured.resize(std::max(rows, cols));
+  double* expected = ws.expected.data();
+  double* measured = ws.measured.data();
 
   // Row-direction: drive groups of rows, read all column outputs per cycle.
   // A column with no candidate in the group is not a segment (nothing
-  // testable), so it is neither digitized nor decoded.
+  // testable), so it is neither digitized nor decoded. Each column's
+  // segment is the next run of its row-sorted candidate list.
   SegmentList& row_segs = ws.din.row_segments;
   row_segs.clear();
-  for_each_group(ws.row_any, cfg_.test_rows_per_cycle, ws.group,
+  ws.cursor.assign(ws.col_begin.begin(), ws.col_begin.end() - 1);
+  for_each_group(ws.row_begin, cfg_.test_rows_per_cycle, ws.group,
                  [&](const std::vector<std::size_t>& group) {
     ++out.cycles;
-    for (std::size_t c = 0; c < cols; ++c) {
-      double expected = 0.0;
-      for (std::size_t r : group) {
-        const std::size_t i = r * cols + c;
-        double level = stored[i];
-        if (candidate[i] != 0) {
-          level += pulse;
-          row_segs.cells.push_back(i);
-        }
-        expected += xbar.attenuation(r, c) * level * gap;
+    xbar.sum_conductance_rows(group, measured);
+    std::fill_n(expected, cols, 0.0);
+    for (std::size_t r : group) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        expected[c] += reference[r * cols + c];
       }
-      if (row_segs.open_empty()) continue;
-      const double measured = xbar.sum_conductance_rows(group, c);
+    }
+    const std::size_t last = group.back();
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::uint32_t j0 = ws.cursor[c], end = ws.col_begin[c + 1];
+      std::uint32_t j = j0;
+      while (j < end && ws.by_col_row[j] <= last) ++j;
+      if (j == j0) continue;
+      ws.cursor[c] = j;
+      row_segs.cells.insert(row_segs.cells.end(), ws.by_col.begin() + j0,
+                            ws.by_col.begin() + j);
       ++out.adc_reads;
-      row_segs.close(residue_of(expected, measured));
+      row_segs.close(residue_of(expected[c], measured[c]));
     }
   });
 
-  // Column-direction (the crossbar works both ways, §4.1).
+  // Column-direction (the crossbar works both ways, §4.1). A row's segment
+  // is the next run of its candidates, which are column-sorted.
   SegmentList& col_segs = ws.din.col_segments;
   col_segs.clear();
-  for_each_group(ws.col_any, cfg_.tc(), ws.group,
+  ws.cursor.assign(ws.row_begin.begin(), ws.row_begin.end() - 1);
+  for_each_group(ws.col_begin, cfg_.tc(), ws.group,
                  [&](const std::vector<std::size_t>& group) {
     ++out.cycles;
+    xbar.sum_conductance_cols(group, measured);
     for (std::size_t r = 0; r < rows; ++r) {
-      double expected = 0.0;
-      for (std::size_t c : group) {
-        const std::size_t i = r * cols + c;
-        double level = stored[i];
-        if (candidate[i] != 0) {
-          level += pulse;
-          col_segs.cells.push_back(i);
-        }
-        expected += xbar.attenuation(r, c) * level * gap;
-      }
-      if (col_segs.open_empty()) continue;
-      const double measured = xbar.sum_conductance_cols(group, r);
+      double e = 0.0;
+      for (std::size_t c : group) e += reference[r * cols + c];
+      expected[r] = e;
+    }
+    const std::size_t last = group.back();
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::uint32_t k0 = ws.cursor[r], end = ws.row_begin[r + 1];
+      std::uint32_t k = k0;
+      while (k < end && ws.cand_col[k] <= last) ++k;
+      if (k == k0) continue;
+      ws.cursor[r] = k;
+      for (std::uint32_t i = k0; i < k; ++i) col_segs.cells.push_back(i);
       ++out.adc_reads;
-      col_segs.close(residue_of(expected, measured));
+      col_segs.close(residue_of(expected[r], measured[r]));
     }
   });
 
-  // Step 7: decode.
-  const std::vector<std::uint8_t> flags = decode_segments(ws.din);
+  // Step 7: decode. The first pass to flag a cell names its kind.
+  ws.din.cells = m;
+  const std::vector<std::uint8_t>& flags = ws.decoder.decode(ws.din);
   const FaultKind kind =
       stuck_level == 0 ? FaultKind::kStuckAt0 : FaultKind::kStuckAt1;
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (flags[r * cols + c] != 0 && !out.predicted.faulty(r, c)) {
-        out.predicted.set(r, c, kind);
-      }
+    FaultKind* pred = ws.predicted.data() + r * cols;
+    for (std::uint32_t k = ws.row_begin[r]; k < ws.row_begin[r + 1]; ++k) {
+      FaultKind& p = pred[ws.cand_col[k]];
+      p = flags[k] != 0 && p == FaultKind::kNone ? kind : p;
     }
   }
 
   // Step 6: restore the training weights with the opposite pulse.
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (candidate[r * cols + c] == 0) continue;
-      xbar.write(r, c, xbar.conductance(r, c) - pulse * gap);
-      ++out.device_writes;
-    }
-  }
+  pulse_candidates(-delta);
 }
 
-DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
+void QuiescentVoltageDetector::detect_into(Crossbar& xbar, Workspace& ws,
+                                           DetectionOutcome& counts) const {
   REFIT_CHECK(cfg_.test_rows_per_cycle > 0 && cfg_.modulo_divisor >= 2);
   const std::size_t rows = xbar.rows(), cols = xbar.cols();
+  REFIT_CHECK_MSG(rows * cols < (std::size_t{1} << 32),
+                  "detector numbers a crossbar's cells in 32 bits");
   DetectionOutcome out;
-  out.predicted = FaultMatrix(rows, cols);
+  ws.predicted.assign(rows * cols, FaultKind::kNone);
 
   if (cfg_.classify_soft) {
     // Snapshot truth before the first pulse: classification scrubs soft
     // faults, so this is the reference evaluate_classified scores against.
-    out.truth_before = FaultMatrix(rows, cols);
+    ws.truth.resize(rows * cols);
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < cols; ++c)
-        out.truth_before.set(r, c, xbar.fault(r, c));
+        ws.truth[r * cols + c] = xbar.fault(r, c);
   }
 
-  Workspace ws;
-  ws.stored.resize(rows * cols);
-  ws.din.rows = rows;
-  ws.din.cols = cols;
   ws.din.divisor = cfg_.modulo_divisor;
   ws.din.use_constraint_propagation = cfg_.use_constraint_propagation;
-  ws.din.candidate.resize(rows * cols);
   // SA0 pass: stuck at the lowest level, tested with a +δw increment.
   run_pass(xbar, /*stuck_level=*/0, /*pulse=*/+1, ws, out);
   // SA1 pass: stuck at the highest level, tested with a −δw decrement.
@@ -226,14 +292,15 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
     // write and reads back unchanged; a transiently pinned cell re-forms,
     // moves, and is scrubbed back to its read-out value. Each re-test is
     // one write plus one ADC read in its own cycle.
-    out.classified_soft = FaultMatrix(rows, cols);
+    ws.soft.assign(rows * cols, FaultKind::kNone);
+    std::size_t soft_found = 0;
     const double gap = xbar.config().level_gap();
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t c = 0; c < cols; ++c) {
-        if (!out.predicted.faulty(r, c)) continue;
+        const FaultKind pk = ws.predicted[r * cols + c];
+        if (pk == FaultKind::kNone) continue;
         ++out.cells_retested;
         ++out.cycles;
-        const FaultKind pk = out.predicted.at(r, c);
         const int dir = pk == FaultKind::kStuckAt1 ? -1 : +1;
         const int l0 = xbar.read_level(r, c);
         const double g0 = static_cast<double>(l0) * gap;
@@ -245,10 +312,10 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
         const int l1 = xbar.read_level(r, c);
         ++out.adc_reads;
         if (l1 != l0) {
-          out.classified_soft.set(r, c,
-                                  pk == FaultKind::kStuckAt1
+          ws.soft[r * cols + c] = pk == FaultKind::kStuckAt1
                                       ? FaultKind::kSoftStuck1
-                                      : FaultKind::kSoftStuck0);
+                                      : FaultKind::kSoftStuck0;
+          ++soft_found;
           // Undo the probe: the cell is healthy again, put the pinned-era
           // read-out back so training resumes from what the weight decoded
           // to (the next logical write reprograms it from target anyway).
@@ -262,7 +329,7 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
     static obs::Counter soft_metric = obs::MetricsRegistry::instance().counter(
         "detector.soft_classified", "cells");
     retests_metric.add(out.cells_retested);
-    soft_metric.add(out.classified_soft.count_faulty());
+    soft_metric.add(soft_found);
   }
   // Telemetry (docs/observability.md). detect() runs on pool lanes when
   // fanned out by detect_store; the handles are relaxed atomics, so the
@@ -279,6 +346,19 @@ DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
   cells_metric.add(out.cells_tested);
   pulses_metric.add(out.device_writes);
   adc_metric.add(out.adc_reads);
+  add_counters(counts, out);
+}
+
+DetectionOutcome QuiescentVoltageDetector::detect(Crossbar& xbar) const {
+  Workspace& ws = lane_workspace();
+  DetectionOutcome out;
+  detect_into(xbar, ws, out);
+  const std::size_t rows = xbar.rows(), cols = xbar.cols();
+  out.predicted = FaultMatrix(rows, cols, ws.predicted);
+  if (cfg_.classify_soft) {
+    out.classified_soft = FaultMatrix(rows, cols, ws.soft);
+    out.truth_before = FaultMatrix(rows, cols, ws.truth);
+  }
   return out;
 }
 
@@ -297,52 +377,64 @@ DetectionOutcome QuiescentVoltageDetector::detect_store(
   // their verdicts into those blocks itself. Only the counters are summed
   // on the caller, in tile order, so totals are deterministic at any
   // thread count. A differential store's two leg planes cover the same
-  // physical block, so one lane tests both serially.
+  // physical block, so one lane tests both serially: the G_p leg's
+  // verdicts are copied into the block, then the G_n leg's merged in.
   const std::size_t legs = store.legs();
   const TileGrid& grid = store.grid();
   std::vector<DetectionOutcome> tile_counts(grid.tile_count());
   grid.for_each_tile(
       [&](const TileSpan& span) {
-        const DetectionOutcome tp = detect(store.tile(span.ti, span.tj));
-        const DetectionOutcome tn = legs == 2
-                                        ? detect(store.tile_n(span.ti, span.tj))
-                                        : DetectionOutcome{};
+        Workspace& ws = lane_workspace();
+        DetectionOutcome& counts = tile_counts[span.index];
+        const std::size_t w = span.cols;
+        const auto block = [&](FaultMatrix& m, std::size_t r) {
+          return m.row(span.row0 + r) + span.col0;
+        };
+        detect_into(store.tile(span.ti, span.tj), ws, counts);
         for (std::size_t r = 0; r < span.rows; ++r) {
-          for (std::size_t c = 0; c < span.cols; ++c) {
-            const std::size_t pr = span.row0 + r;
-            const std::size_t pc = span.col0 + c;
-            const FaultKind pp = tp.predicted.at(r, c);
-            const FaultKind pn =
-                legs == 2 ? tn.predicted.at(r, c) : FaultKind::kNone;
-            out.predicted.set(pr, pc, pp != FaultKind::kNone ? pp : pn);
-            if (!classify) continue;
+          std::copy_n(ws.predicted.data() + r * w, w, block(out.predicted, r));
+          if (!classify) continue;
+          std::copy_n(ws.truth.data() + r * w, w, block(out.truth_before, r));
+          std::copy_n(ws.soft.data() + r * w, w, block(out.classified_soft, r));
+        }
+        if (legs == 1) return;
+        detect_into(store.tile_n(span.ti, span.tj), ws, counts);
+        for (std::size_t r = 0; r < span.rows; ++r) {
+          FaultKind* pred = block(out.predicted, r);
+          const FaultKind* pred_n = ws.predicted.data() + r * w;
+          if (!classify) {
+            for (std::size_t c = 0; c < w; ++c)
+              pred[c] = pred[c] != FaultKind::kNone ? pred[c] : pred_n[c];
+            continue;
+          }
+          FaultKind* truth = block(out.truth_before, r);
+          FaultKind* soft = block(out.classified_soft, r);
+          const FaultKind* truth_n = ws.truth.data() + r * w;
+          const FaultKind* soft_n = ws.soft.data() + r * w;
+          for (std::size_t c = 0; c < w; ++c) {
             // Truth merge mirrors CrossbarWeightStore::true_fault: hard >
             // soft > none, G_p leg breaks ties.
-            const FaultKind ttp = tp.truth_before.at(r, c);
-            const FaultKind ttn =
-                legs == 2 ? tn.truth_before.at(r, c) : FaultKind::kNone;
-            out.truth_before.set(
-                pr, pc,
-                fault_is_hard(ttp) ? ttp
-                : fault_is_hard(ttn) ? ttn
-                : (ttp != FaultKind::kNone ? ttp : ttn));
+            const FaultKind truth_p = truth[c];
+            truth[c] = fault_is_hard(truth_p)      ? truth_p
+                       : fault_is_hard(truth_n[c]) ? truth_n[c]
+                       : truth_p != FaultKind::kNone ? truth_p
+                                                     : truth_n[c];
             // The weight is only transiently impaired if every leg that
             // tripped the detector was classified soft — one hard leg pins
-            // it for good.
-            const bool p_pred = pp != FaultKind::kNone;
-            const bool n_pred = pn != FaultKind::kNone;
-            const bool p_soft = p_pred && tp.classified_soft.faulty(r, c);
-            const bool n_soft = n_pred && tn.classified_soft.faulty(r, c);
-            if ((p_pred || n_pred) && (!p_pred || p_soft) &&
-                (!n_pred || n_soft)) {
-              out.classified_soft.set(pr, pc,
-                                      p_pred ? tp.classified_soft.at(r, c)
-                                             : tn.classified_soft.at(r, c));
-            }
+            // it for good. A leg's soft verdicts are a subset of its
+            // predictions.
+            const bool p_pred = pred[c] != FaultKind::kNone;
+            const bool n_pred = pred_n[c] != FaultKind::kNone;
+            const bool p_soft = soft[c] != FaultKind::kNone;
+            const bool n_soft = soft_n[c] != FaultKind::kNone;
+            const bool all_soft = (p_pred || n_pred) && p_soft == p_pred &&
+                                  n_soft == n_pred;
+            soft[c] = !all_soft ? FaultKind::kNone
+                      : p_pred  ? soft[c]
+                                : soft_n[c];
+            pred[c] = p_pred ? pred[c] : pred_n[c];
           }
         }
-        add_counters(tile_counts[span.index], tp);
-        add_counters(tile_counts[span.index], tn);
       },
       kDetectWorkPerCell);
   for (const DetectionOutcome& t : tile_counts) add_counters(out, t);
@@ -373,13 +465,27 @@ ClassifiedConfusion evaluate_classified(const DetectionOutcome& out) {
   const std::vector<FaultKind>& pred = out.predicted.cells();
   const std::vector<FaultKind>& soft = out.classified_soft.cells();
   const std::vector<FaultKind>& truth = out.truth_before.cells();
-  ClassifiedConfusion cc;
+  // Branch-free totals per class — actual, predicted, both — from which
+  // ConfusionCounts derives the four counts.
+  std::uint64_t hard_actual = 0, hard_pred = 0, hard_both = 0;
+  std::uint64_t soft_actual = 0, soft_pred = 0, soft_both = 0;
   for (std::size_t i = 0; i < pred.size(); ++i) {
     const bool pred_soft = soft[i] != FaultKind::kNone;
     const bool pred_hard = pred[i] != FaultKind::kNone && !pred_soft;
-    cc.hard.add(fault_is_hard(truth[i]), pred_hard);
-    cc.soft.add(fault_is_soft(truth[i]), pred_soft);
+    const bool is_hard = fault_is_hard(truth[i]);
+    const bool is_soft = fault_is_soft(truth[i]);
+    hard_actual += is_hard;
+    hard_pred += pred_hard;
+    hard_both += is_hard && pred_hard;
+    soft_actual += is_soft;
+    soft_pred += pred_soft;
+    soft_both += is_soft && pred_soft;
   }
+  ClassifiedConfusion cc;
+  cc.hard = ConfusionCounts::from_totals(pred.size(), hard_actual, hard_pred,
+                                         hard_both);
+  cc.soft = ConfusionCounts::from_totals(pred.size(), soft_actual, soft_pred,
+                                         soft_both);
   return cc;
 }
 

@@ -19,15 +19,19 @@
 // ceil(Er/Tr) + ceil(Ec/Tc) per pass, where Er/Ec are the selected
 // row/column counts (paper §6.1).
 //
-// A pass works on flat per-crossbar buffers reused by both passes of one
-// detect(): the stored levels (one int per cell), a uint8 candidate mask
-// built in the same sweep that marks the rows/columns holding candidates,
-// and the measured segments in the decoder's CSR form (decoder.hpp) — no
-// allocation per group or per segment.
+// A pass is a few sweeps over flat arrays in a per-thread workspace that
+// every pass reuses (no allocation once it has grown to the tile size):
+// one branch-free read sweep stores what each cell should add to a
+// read-out and appends the candidates to a row-major list; the pulse, restore and
+// verdict loops walk that list instead of the whole crossbar; each
+// direction's segments are the runs of the candidate list (by row, or
+// counting-sorted by column) inside one group, and reach the decoder in
+// candidate space (decoder.hpp). The read-out rounding is
+// round_half_away (crossbar.hpp), bit-exact with std::round.
 //
-// detect_store runs each tile's detect() on its own pool lane (the tile
+// detect_store runs each tile's passes on its own pool lane (the tile
 // grid's grain is weighted by the pass's per-cell cost, so realistic
-// stores fan out) and merges each tile's verdicts into its disjoint block
+// stores fan out) and writes each tile's verdicts into its disjoint block
 // of the store-level maps on the same lane.
 #pragma once
 
@@ -102,8 +106,15 @@ class QuiescentVoltageDetector {
   [[nodiscard]] DetectionOutcome detect_store(CrossbarWeightStore& store) const;
 
  private:
-  /// Flat buffers shared by the passes of one detect() call.
+  /// Flat scratch reused by every pass on one thread.
   struct Workspace;
+  [[nodiscard]] static Workspace& lane_workspace();
+
+  /// Both fault-type passes (and the re-test when classify_soft) on one
+  /// crossbar: verdicts into the workspace's tile-shaped maps, counters
+  /// added to `counts`.
+  void detect_into(Crossbar& xbar, Workspace& ws,
+                   DetectionOutcome& counts) const;
 
   /// One fault-type pass. `stuck_level` is the level a faulty cell is
   /// pinned at (0 for SA0, levels-1 for SA1); `pulse` is ±1 level.

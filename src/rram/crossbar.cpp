@@ -33,12 +33,6 @@ Crossbar::Crossbar(CrossbarConfig cfg, EnduranceModel endurance, Rng rng)
   }
 }
 
-double Crossbar::snap(double g) const {
-  const double levels_minus_1 = static_cast<double>(cfg_.levels - 1);
-  const double level = std::round(std::clamp(g, 0.0, 1.0) * levels_minus_1);
-  return level / levels_minus_1;
-}
-
 void Crossbar::write(std::size_t r, std::size_t c, double target_g) {
   const std::size_t i = idx(r, c);
   if (faults_[i] != FaultKind::kNone) {
@@ -63,10 +57,6 @@ void Crossbar::write(std::size_t r, std::size_t c, double target_g) {
     g += rng_.normal(0.0, cfg_.write_noise_sigma);
   }
   g_[i] = std::clamp(g, 0.0, 1.0);
-}
-
-FaultKind Crossbar::fault(std::size_t r, std::size_t c) const {
-  return faults_[idx(r, c)];
 }
 
 void Crossbar::force_fault(std::size_t r, std::size_t c, FaultKind kind) {
@@ -145,19 +135,27 @@ void Crossbar::strong_write(std::size_t r, std::size_t c, double target_g) {
   write(r, c, target_g);
 }
 
-double Crossbar::sum_conductance_rows(const std::vector<std::size_t>& row_set,
-                                      std::size_t col) const {
-  // Analog read-out: each cell's contribution suffers its own IR drop.
-  double s = 0.0;
-  for (std::size_t r : row_set) s += effective_conductance(r, col);
-  return s;
+// Analog read-outs: each cell's contribution suffers its own IR drop, and
+// each output line's sum adds the driven lines in order. Both loops walk
+// the conductances row by row (a column walk of a power-of-two-wide tile
+// keeps hitting the same cache sets).
+void Crossbar::sum_conductance_rows(const std::vector<std::size_t>& row_set,
+                                    double* col_sums) const {
+  std::fill_n(col_sums, cfg_.cols, 0.0);
+  for (std::size_t r : row_set) {
+    for (std::size_t c = 0; c < cfg_.cols; ++c) {
+      col_sums[c] += effective_conductance(r, c);
+    }
+  }
 }
 
-double Crossbar::sum_conductance_cols(const std::vector<std::size_t>& col_set,
-                                      std::size_t row) const {
-  double s = 0.0;
-  for (std::size_t c : col_set) s += effective_conductance(row, c);
-  return s;
+void Crossbar::sum_conductance_cols(const std::vector<std::size_t>& col_set,
+                                    double* row_sums) const {
+  for (std::size_t r = 0; r < cfg_.rows; ++r) {
+    double s = 0.0;
+    for (std::size_t c : col_set) s += effective_conductance(r, c);
+    row_sums[r] = s;
+  }
 }
 
 std::uint64_t Crossbar::write_count(std::size_t r, std::size_t c) const {

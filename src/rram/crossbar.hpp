@@ -13,6 +13,7 @@
 // leaves the cell permanently stuck.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -23,6 +24,21 @@
 #include "common/rng.hpp"
 
 namespace refit {
+
+/// std::round, inline and bit-exact: halves round away from zero, and
+/// −0.0, ±inf and NaN come back unchanged (so does any |x| ≥ 2⁵², which is
+/// already integral). libm's round is an out-of-line call; this one
+/// truncates |x| (only ever below 2⁵², so the conversion never overflows
+/// and the fraction is exact) and adds the round-up bit as an integer, so
+/// the data-dependent half test compiles to a flag, not a branch.
+[[nodiscard]] inline double round_half_away(double x) {
+  const double a = std::fabs(x);
+  const bool small = a < 0x1p52;  // false for NaN and ±inf
+  const double s = small ? a : 0.0;
+  auto t = static_cast<std::int64_t>(s);
+  t += static_cast<std::int64_t>(s - static_cast<double>(t) >= 0.5);
+  return small ? std::copysign(static_cast<double>(t), x) : x;
+}
 
 /// Fault state of a cell. kStuckAt* are permanent (fabrication defects or
 /// endurance wear-out); kSoftStuck* are transient pins with a TTL — the
@@ -116,13 +132,30 @@ class Crossbar {
     return g_[idx(r, c)] * attenuation(r, c);
   }
 
-  /// ADC-quantized read: nearest level index in [0, levels).
+  /// read_level() of a conductance outside [0, 1].
+  static constexpr int kNoLevel = -1;
+
+  /// ADC-quantized read: the nearest level index in [0, levels), rounding
+  /// halves up (round_half_away). Every write clamps to [0, 1], so the only
+  /// conductance outside that range is a NaN — programmed from a NaN target
+  /// (or loaded from a corrupt checkpoint). It reads as kNoLevel: no level,
+  /// so the detector never picks it as a candidate.
   [[nodiscard]] int read_level(std::size_t r, std::size_t c) const {
+    return level_of(g_[idx(r, c)], static_cast<double>(cfg_.levels - 1));
+  }
+  /// read_level() of every cell of row r, into out[0, cols).
+  void read_levels(std::size_t r, int* out) const {
+    REFIT_DCHECK(r < cfg_.rows);
     const double levels_minus_1 = static_cast<double>(cfg_.levels - 1);
-    return static_cast<int>(std::round(g_[idx(r, c)] * levels_minus_1));
+    const double* g = g_.data() + r * cfg_.cols;
+    for (std::size_t c = 0; c < cfg_.cols; ++c) {
+      out[c] = level_of(g[c], levels_minus_1);
+    }
   }
 
-  [[nodiscard]] FaultKind fault(std::size_t r, std::size_t c) const;
+  [[nodiscard]] FaultKind fault(std::size_t r, std::size_t c) const {
+    return faults_[idx(r, c)];
+  }
   [[nodiscard]] bool is_stuck(std::size_t r, std::size_t c) const {
     return fault(r, c) != FaultKind::kNone;
   }
@@ -153,13 +186,17 @@ class Crossbar {
   /// primitive for cells its re-test pass classifies as soft.
   void strong_write(std::size_t r, std::size_t c, double target_g);
 
-  /// Analog column read: sum of conductances of `row_set` cells in `col`
-  /// (the quiescent-voltage test observable, row-direction test).
-  [[nodiscard]] double sum_conductance_rows(
-      const std::vector<std::size_t>& row_set, std::size_t col) const;
-  /// Transpose-direction test observable.
-  [[nodiscard]] double sum_conductance_cols(
-      const std::vector<std::size_t>& col_set, std::size_t row) const;
+  /// Analog read-out of one row-direction test cycle (the quiescent-voltage
+  /// test observable): the rows in `row_set` are driven together and every
+  /// column output is read at once. col_sums[c], for each of the cols()
+  /// columns, becomes the sum of the cells' effective conductances over
+  /// row_set, added in row_set order.
+  void sum_conductance_rows(const std::vector<std::size_t>& row_set,
+                            double* col_sums) const;
+  /// Transpose direction: row_sums[r], for each of the rows() rows, sums
+  /// row r's effective conductances over col_set, in col_set order.
+  void sum_conductance_cols(const std::vector<std::size_t>& col_set,
+                            double* row_sums) const;
 
   [[nodiscard]] std::uint64_t write_count(std::size_t r, std::size_t c) const;
   [[nodiscard]] std::uint64_t total_writes() const { return total_writes_; }
@@ -187,8 +224,18 @@ class Crossbar {
     REFIT_DCHECK(r < cfg_.rows && c < cfg_.cols);
     return r * cfg_.cols + c;
   }
-  /// Snap to the nearest discrete level.
-  [[nodiscard]] double snap(double g) const;
+  /// The read_level() rule for one conductance.
+  [[nodiscard]] static int level_of(double g, double levels_minus_1) {
+    const double level = round_half_away(g * levels_minus_1);  // NaN stays
+    return g >= 0.0 && g <= 1.0 ? static_cast<int>(level) : kNoLevel;
+  }
+  /// Snap to the nearest discrete level (NaN stays NaN, −0.0 stays −0.0:
+  /// std::clamp passes both through).
+  [[nodiscard]] double snap(double g) const {
+    const double levels_minus_1 = static_cast<double>(cfg_.levels - 1);
+    return round_half_away(std::clamp(g, 0.0, 1.0) * levels_minus_1) /
+           levels_minus_1;
+  }
 
   CrossbarConfig cfg_;
   EnduranceModel endurance_;

@@ -49,6 +49,11 @@ class FaultMatrix {
 
   /// Raw row-major cell storage (serialization).
   [[nodiscard]] const std::vector<FaultKind>& cells() const { return m_; }
+  /// Row r's cells, for bulk merges.
+  [[nodiscard]] FaultKind* row(std::size_t r) {
+    REFIT_DCHECK(r < rows_);
+    return m_.data() + r * cols_;
+  }
 
  private:
   std::size_t rows_ = 0;

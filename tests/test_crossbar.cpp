@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -115,16 +119,81 @@ TEST(Crossbar, SumConductanceRows) {
   xb.write(0, 2, 1.0);
   xb.write(1, 2, 1.0);
   xb.write(3, 2, 1.0);
-  EXPECT_NEAR(xb.sum_conductance_rows({0, 1}, 2), 2.0, 1e-12);
-  EXPECT_NEAR(xb.sum_conductance_rows({0, 1, 2, 3}, 2), 3.0, 1e-12);
+  xb.write(2, 0, 1.0);
+  std::vector<double> sums(4, -1.0);
+  xb.sum_conductance_rows({0, 1}, sums.data());
+  EXPECT_EQ(sums, (std::vector<double>{0.0, 0.0, 2.0, 0.0}));
+  xb.sum_conductance_rows({0, 1, 2, 3}, sums.data());
+  EXPECT_EQ(sums, (std::vector<double>{1.0, 0.0, 3.0, 0.0}));
 }
 
 TEST(Crossbar, SumConductanceCols) {
   Crossbar xb(noiseless(4, 4), EnduranceModel::unlimited(), Rng(11));
   xb.write(1, 0, 1.0);
   xb.write(1, 3, 1.0);
-  EXPECT_NEAR(xb.sum_conductance_cols({0, 3}, 1), 2.0, 1e-12);
-  EXPECT_NEAR(xb.sum_conductance_cols({1, 2}, 1), 0.0, 1e-12);
+  xb.write(2, 2, 1.0);
+  std::vector<double> sums(4, -1.0);
+  xb.sum_conductance_cols({0, 3}, sums.data());
+  EXPECT_EQ(sums, (std::vector<double>{0.0, 2.0, 0.0, 0.0}));
+  xb.sum_conductance_cols({1, 2}, sums.data());
+  EXPECT_EQ(sums, (std::vector<double>{0.0, 0.0, 1.0, 0.0}));
+}
+
+TEST(Crossbar, InlineRoundMatchesStdRound) {
+  // round_half_away replaces std::round on the write and read paths, so it
+  // must agree bit for bit: halves, their neighbours, signed zeros,
+  // infinities, NaN, and values at and beyond 2^52.
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            0.5,
+                            -0.5,
+                            1.5,
+                            2.5,
+                            -2.5,
+                            0.49999999999999994,
+                            -0.49999999999999994,
+                            std::nextafter(0.5, 1.0),
+                            6.5,
+                            7.0,
+                            0x1p52 - 0.5,
+                            0x1p52,
+                            0x1p52 + 1.0,
+                            -0x1p53,
+                            1e300,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::quiet_NaN()};
+  for (double h = -8.5; h <= 8.5; h += 1.0) {
+    xs.push_back(h);
+    xs.push_back(std::nextafter(h, -100.0));
+    xs.push_back(std::nextafter(h, 100.0));
+  }
+  Rng rng(7);
+  for (int i = 0; i < 10000; ++i) xs.push_back(rng.uniform(-20.0, 20.0));
+  for (double x : xs) {
+    EXPECT_EQ(bits(round_half_away(x)), bits(std::round(x))) << x;
+  }
+}
+
+TEST(Crossbar, NonFiniteConductanceReadsNoLevel) {
+  // A NaN target programs a NaN conductance (snap and clamp pass NaN
+  // through); it reads as no level instead of a NaN-to-int conversion.
+  Crossbar xb(noiseless(2, 2), EnduranceModel::unlimited(), Rng(1));
+  xb.write(0, 0, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(std::isnan(xb.conductance(0, 0)));
+  EXPECT_EQ(xb.read_level(0, 0), Crossbar::kNoLevel);
+  xb.write(0, 1, -0.0);  // sign of zero survives, level 0 all the same
+  EXPECT_TRUE(std::signbit(xb.conductance(0, 1)));
+  EXPECT_EQ(xb.read_level(0, 1), 0);
+  xb.write(1, 1, 1.0);
+  EXPECT_EQ(xb.read_level(1, 1), 7);
 }
 
 TEST(Crossbar, LevelGap) {

@@ -8,26 +8,25 @@
 namespace refit {
 namespace {
 
-/// Build a DecodeInput for a small grid where every cell outside
-/// `non_candidates` is a candidate and segments follow a simple row-group /
-/// col-group layout (non-candidates are left out of their segments, as
-/// the detector does).
+/// Build a DecodeInput for a small grid (cell id = flat row-major index)
+/// where every cell outside `non_candidates` is a candidate and segments
+/// follow a simple row-group / col-group layout (non-candidates are left
+/// out of their segments, as the detector does).
 DecodeInput grid_input(std::size_t rows, std::size_t cols,
                        std::size_t group_rows, std::size_t group_cols,
                        const std::vector<std::size_t>& faulty_cells,
                        std::size_t divisor = 16,
                        const std::vector<std::size_t>& non_candidates = {}) {
   DecodeInput in;
-  in.rows = rows;
-  in.cols = cols;
+  in.cells = rows * cols;
   in.divisor = divisor;
-  in.candidate.assign(rows * cols, 1);
-  for (auto nc : non_candidates) in.candidate[nc] = 0;
+  std::vector<bool> candidate(rows * cols, true);
+  for (auto nc : non_candidates) candidate[nc] = false;
   std::vector<bool> faulty(rows * cols, false);
   for (auto f : faulty_cells) faulty[f] = true;
   auto add = [&](SegmentList& segs, std::size_t cell, std::size_t& count) {
-    if (in.candidate[cell] == 0) return;
-    segs.cells.push_back(cell);
+    if (!candidate[cell]) return;
+    segs.cells.push_back(static_cast<std::uint32_t>(cell));
     count += faulty[cell];
   };
   for (std::size_t r0 = 0; r0 < rows; r0 += group_rows) {
@@ -49,9 +48,15 @@ DecodeInput grid_input(std::size_t rows, std::size_t cols,
   return in;
 }
 
+/// One decode on a fresh decoder.
+std::vector<std::uint8_t> decode(const DecodeInput& in) {
+  SegmentDecoder decoder;
+  return decoder.decode(in);
+}
+
 TEST(Decoder, NoFaultsNoFlags) {
   const DecodeInput in = grid_input(4, 4, 2, 2, {});
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   for (bool b : pred) EXPECT_FALSE(b);
 }
 
@@ -59,7 +64,7 @@ TEST(Decoder, SingleFaultExactlyLocated) {
   // One fault: its row segment has residue 1 with the fault as one of the
   // unknowns; propagation plus intersection must pin it exactly.
   const DecodeInput in = grid_input(4, 4, 2, 2, {5});
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   EXPECT_TRUE(pred[5]);
   int flags = 0;
   for (bool b : pred) flags += b;
@@ -70,7 +75,7 @@ TEST(Decoder, PropagationResolvesFullSegments) {
   // Both cells of a row segment faulty → residue == unresolved → all
   // faulty, exactly.
   const DecodeInput in = grid_input(4, 4, 2, 2, {0, 4});  // col 0, rows 0-1
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   EXPECT_TRUE(pred[0]);
   EXPECT_TRUE(pred[4]);
   int flags = 0;
@@ -82,7 +87,7 @@ TEST(Decoder, ZeroResidueClearsCells) {
   // Fault pattern that keeps some segments at zero: those cells must never
   // be flagged even if the crossing segment has residue.
   const DecodeInput in = grid_input(4, 4, 4, 4, {0});
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   EXPECT_TRUE(pred[0]);
   // Cells in columns 1..3 share the row segment? No: with group 4 each
   // row segment is a whole column. Columns 1-3 have residue 0.
@@ -94,7 +99,7 @@ TEST(Decoder, NonCandidatesNeverFlagged) {
   // Cell 3 cannot be tested: it is left out of its segments, so their
   // residues count only the faulty candidates 0..2.
   const DecodeInput in = grid_input(2, 2, 2, 2, {0, 1, 2, 3}, 16, {3});
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   EXPECT_FALSE(pred[3]);
   EXPECT_TRUE(pred[0]);
 }
@@ -104,7 +109,7 @@ TEST(Decoder, AmbiguousFallbackUsesIntersection) {
   // the fallback flags the whole block (row and column evidence crosses).
   DecodeInput in = grid_input(2, 2, 2, 2, {0, 3});
   in.use_constraint_propagation = false;
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   // All four cells share flagged row segments (each column segment has one
   // fault) and flagged col segments → all flagged; 2 are FPs. This is the
   // precision loss the paper's Fig. 4(a) illustrates.
@@ -120,7 +125,7 @@ TEST(Decoder, PropagationBeatsFallbackOnDiagonal) {
   // 2×2 system with residues (1,1,1,1) admits both diagonals. Decoder
   // should still flag both true cells (possibly plus the mirror diagonal).
   DecodeInput in = grid_input(2, 2, 2, 2, {0, 3});
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   EXPECT_TRUE(pred[0]);
   EXPECT_TRUE(pred[3]);
 }
@@ -134,7 +139,7 @@ TEST(Decoder, ModuloAliasingMissesMultiplesOfDivisor) {
   std::vector<std::size_t> all;
   for (std::size_t i = 0; i < 16; ++i) all.push_back(i);
   const DecodeInput in = grid_input(4, 4, 4, 4, all, /*divisor=*/4);
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   for (bool b : pred) EXPECT_FALSE(b);
 }
 
@@ -142,39 +147,53 @@ TEST(Decoder, LargerDivisorAvoidsAliasing) {
   std::vector<std::size_t> all;
   for (std::size_t i = 0; i < 16; ++i) all.push_back(i);
   const DecodeInput in = grid_input(4, 4, 4, 4, all, /*divisor=*/32);
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   for (bool b : pred) EXPECT_TRUE(b);
 }
 
 TEST(Decoder, CellCoveredByOneDirectionUsesThatVerdict) {
   DecodeInput in;
-  in.rows = 1;
-  in.cols = 2;
+  in.cells = 2;
   in.divisor = 16;
-  in.candidate = {1, 1};
   // Only a row segment covering both cells, residue 1.
   in.row_segments.cells = {0, 1};
   in.row_segments.close(1);
   in.use_constraint_propagation = false;
-  const auto pred = decode_segments(in);
+  const auto pred = decode(in);
   EXPECT_TRUE(pred[0]);
   EXPECT_TRUE(pred[1]);
 }
 
 TEST(Decoder, RejectsBadInput) {
   DecodeInput in;
-  in.rows = 0;
-  in.cols = 4;
-  EXPECT_THROW(decode_segments(in), CheckError);
+  in.cells = 0;
+  EXPECT_THROW(decode(in), CheckError);
   // Cells appended but never closed into a segment.
   DecodeInput open = grid_input(2, 2, 2, 2, {0});
   open.row_segments.cells.push_back(1);
-  EXPECT_THROW(decode_segments(open), CheckError);
+  EXPECT_THROW(decode(open), CheckError);
   // A cell index outside the crossbar.
   DecodeInput oob = grid_input(2, 2, 2, 2, {0});
   oob.col_segments.cells.push_back(4);
   oob.col_segments.close(1);
-  EXPECT_THROW(decode_segments(oob), CheckError);
+  EXPECT_THROW(decode(oob), CheckError);
+}
+
+TEST(Decoder, ReusedDecoderMatchesFreshOne) {
+  // A decoder keeps its arrays between calls: decoding a larger input,
+  // then smaller ones, must give what a fresh decoder gives each time.
+  std::vector<std::size_t> all;
+  for (std::size_t i = 0; i < 16; ++i) all.push_back(i);
+  const DecodeInput inputs[] = {
+      grid_input(8, 8, 4, 2, {1, 9, 17, 40, 41, 63}),
+      grid_input(4, 4, 4, 4, all, /*divisor=*/32),
+      grid_input(2, 2, 2, 2, {0, 3}),
+      grid_input(4, 4, 2, 2, {5}),
+  };
+  SegmentDecoder reused;
+  for (const DecodeInput& in : inputs) {
+    EXPECT_EQ(reused.decode(in), decode(in));
+  }
 }
 
 }  // namespace

@@ -57,6 +57,23 @@ TEST(ConfusionCounts, AddRouting) {
   EXPECT_EQ(c.total(), 4u);
 }
 
+TEST(ConfusionCounts, FromTotalsMatchesPerCellAdds) {
+  ConfusionCounts c;
+  for (int i = 0; i < 3; ++i) c.add(true, true);
+  for (int i = 0; i < 2; ++i) c.add(true, false);
+  for (int i = 0; i < 5; ++i) c.add(false, true);
+  for (int i = 0; i < 7; ++i) c.add(false, false);
+  const ConfusionCounts t = ConfusionCounts::from_totals(
+      /*cells=*/17, /*actual=*/5, /*predicted=*/8, /*both=*/3);
+  EXPECT_EQ(t.tp, c.tp);
+  EXPECT_EQ(t.fn, c.fn);
+  EXPECT_EQ(t.fp, c.fp);
+  EXPECT_EQ(t.tn, c.tn);
+  // Totals no set of cells can produce are refused.
+  EXPECT_THROW(ConfusionCounts::from_totals(4, 2, 3, 3), CheckError);
+  EXPECT_THROW(ConfusionCounts::from_totals(4, 3, 3, 1), CheckError);
+}
+
 TEST(ConfusionCounts, PrecisionRecall) {
   ConfusionCounts c;
   c.tp = 70;
